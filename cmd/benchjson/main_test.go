@@ -10,7 +10,7 @@ const sample = `goos: linux
 goarch: amd64
 pkg: repro/internal/dse
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkExploreAllParallel/n=11-8         	       2	 712345678 ns/op	         0.9123 hit-rate
+BenchmarkExploreAllSequential/n=10-8        	       2	 712345678 ns/op
 BenchmarkExploreParetoBB/n=11-8            	       1	1397632383 ns/op	         0.9477 pruned-frac	         6.000 resident-peak
 PASS
 ok  	repro/internal/dse	4.865s

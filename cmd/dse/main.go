@@ -1,26 +1,26 @@
 // Command dse explores PR partitionings of the paper's PRMs on a device with
-// the cost models, printing every design point, the Pareto front, and the
-// model-versus-vendor-flow productivity comparison (the paper's Table VIII
-// argument).
+// the cost models, printing the exact Pareto front, the branch-and-bound
+// statistics, and the model-versus-vendor-flow productivity comparison (the
+// paper's Table VIII argument). `paper` (ablation A7) lists every design
+// point of the paper PRMs instead.
 //
 // Usage:
 //
 //	dse -device XC6VLX75T
-//	dse -engine bb -n 12 -constrained
+//	dse -n 12 -constrained
 //
-// Three engines are available via -engine: "par" (default) evaluates every
-// partition on all cores with group memoization; "seq" is the
-// single-threaded uncached baseline (-seq still selects it for
-// compatibility); "bb" is the prefix-sharing branch-and-bound engine, which
-// streams the exact Pareto front while pruning subtrees whose partitions can
-// never be placed (-prune=false disables the fit bound). -constrained swaps
-// in the deliberately tight fabric and its mixed DSP/BRAM workload where the
-// bounds bite hardest. -dup k explores the duplicate-heavy workload with k
-// distinct shapes, where the bb engine's symmetry collapse (-symmetry off
-// disables it) skips interchangeable partitions.
+// The explorer is the prefix-sharing branch-and-bound engine, which streams
+// the exact Pareto front while pruning subtrees whose partitions can never
+// be placed (-prune=false disables the fit bound). -n explores synthetic
+// PRMs instead of the paper's three (at most 25: Bell(26) overflows the
+// partition counters). -constrained swaps in the deliberately tight fabric
+// and its mixed DSP/BRAM workload where the bounds bite hardest. -dup k
+// explores the duplicate-heavy workload with k distinct shapes, where the
+// symmetry collapse (-symmetry off disables it) skips interchangeable
+// partitions.
 //
-// The bb engine additionally memoizes group pricings across subtree workers
-// by (signature-class composition, placed-region multiset) — the orbit-level
+// The engine additionally memoizes group pricings across subtree workers by
+// (signature-class composition, placed-region multiset) — the orbit-level
 // collapse that makes duplicate-heavy walks interactive; -memo off disables
 // it for A/B measurement (the front is bit-identical either way).
 //
@@ -48,28 +48,22 @@ import (
 	"repro/internal/dse"
 	"repro/internal/icap"
 	"repro/internal/obscli"
-	"repro/internal/report"
 	"repro/internal/rtl"
 	"repro/internal/synth"
 )
 
 func main() {
 	deviceName := flag.String("device", "XC6VLX75T", "target device")
-	engine := flag.String("engine", "par", "exploration engine: par (parallel flat), seq (sequential flat), bb (branch-and-bound)")
-	sequential := flag.Bool("seq", false, "use the single-threaded uncached explorer (same as -engine seq)")
-	prune := flag.Bool("prune", true, "bb engine: enable the monotone fit bound")
+	prune := flag.Bool("prune", true, "enable the monotone fit bound")
 	constrained := flag.Bool("constrained", false, "use the tight two-run fabric and its DSP/BRAM workload (requires -n)")
 	nSynthetic := flag.Int("n", 0, "explore n synthetic PRMs instead of the paper's three (stress mode)")
 	dupShapes := flag.Int("dup", 0, "with -n: use the duplicate-heavy workload with this many distinct shapes (symmetry stress mode)")
-	symmetry := flag.String("symmetry", "auto", "bb engine: interchangeable-PRM collapse: auto or off")
-	memo := flag.String("memo", "auto", "bb engine: composition-keyed group-pricing memo: auto or off")
+	symmetry := flag.String("symmetry", "auto", "interchangeable-PRM collapse: auto or off")
+	memo := flag.String("memo", "auto", "composition-keyed group-pricing memo: auto or off")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the exploration to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the exploration) to this file")
 	obsFlags := obscli.Register(flag.CommandLine)
 	flag.Parse()
-	if *sequential {
-		*engine = "seq"
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -125,71 +119,29 @@ func main() {
 		}
 	}
 
+	opts := dse.BBOptions{DominancePrune: true, DisableFitPrune: !*prune}
+	switch *symmetry {
+	case "auto":
+	case "off":
+		opts.Symmetry = dse.SymmetryOff
+	default:
+		fatal(fmt.Errorf("unknown -symmetry %q (want auto or off)", *symmetry))
+	}
+	switch *memo {
+	case "auto":
+	case "off":
+		opts.Memo = dse.MemoOff
+	default:
+		fatal(fmt.Errorf("unknown -memo %q (want auto or off)", *memo))
+	}
+
 	e := &dse.Explorer{Device: dev, Estimator: icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}}
 	start := time.Now()
-	var points, front []dse.DesignPoint
-	var bbStats dse.BBStats
-	evaluated := 0
-	switch *engine {
-	case "seq":
-		points = e.ExploreAll(prms)
-		front = dse.Pareto(points)
-		evaluated = len(points)
-	case "par":
-		points, err = e.ExploreAllParallel(sess.Context(context.Background()), prms)
-		if err != nil {
-			fatal(err)
-		}
-		front = dse.Pareto(points)
-		evaluated = len(points)
-	case "bb":
-		opts := dse.BBOptions{DominancePrune: true, DisableFitPrune: !*prune}
-		switch *symmetry {
-		case "auto":
-		case "off":
-			opts.Symmetry = dse.SymmetryOff
-		default:
-			fatal(fmt.Errorf("unknown -symmetry %q (want auto or off)", *symmetry))
-		}
-		switch *memo {
-		case "auto":
-		case "off":
-			opts.Memo = dse.MemoOff
-		default:
-			fatal(fmt.Errorf("unknown -memo %q (want auto or off)", *memo))
-		}
-		front, bbStats, err = e.ExploreParetoBB(sess.Context(context.Background()), prms, opts)
-		if err != nil {
-			fatal(err)
-		}
-		evaluated = int(bbStats.Evaluated)
-	default:
-		fatal(fmt.Errorf("unknown -engine %q (want par, seq or bb)", *engine))
+	front, stats, err := e.ExploreParetoBB(sess.Context(context.Background()), prms, opts)
+	if err != nil {
+		fatal(err)
 	}
 	modelTime := time.Since(start)
-
-	// The flat engines retain every point, so the full design-point table is
-	// printable; the branch-and-bound engine streams them (that is the point)
-	// and reports the front plus pruning statistics instead.
-	if points != nil {
-		names := make([]string, len(prms))
-		for i, p := range prms {
-			names[i] = p.Name
-		}
-		t := &report.Table{
-			Title:   fmt.Sprintf("PR partitionings of %v on %s", names, dev.Name),
-			Headers: []string{"partitioning", "feasible", "PRR tiles", "total bits (B)", "worst reconfig", "min RU_CLB %"},
-		}
-		for _, p := range points {
-			if !p.Feasible {
-				t.Add(dse.Describe(prms, p), false, "-", "-", "-", "-")
-				continue
-			}
-			t.Add(dse.Describe(prms, p), true, p.TotalTiles, p.TotalBitstreamBytes,
-				p.WorstReconfig.Round(time.Microsecond), p.MinRU)
-		}
-		fmt.Println(t.String())
-	}
 
 	fmt.Println("Pareto front (area / worst reconfiguration / fragmentation):")
 	for _, p := range front {
@@ -197,24 +149,22 @@ func main() {
 			dse.Describe(prms, p), p.TotalTiles, p.WorstReconfig.Round(time.Microsecond), p.MinRU)
 	}
 
-	if *engine == "bb" {
-		fmt.Printf("\nbranch-and-bound: %d partitions, %d evaluated (%.1f%%), %d fit-pruned, %d dominance-pruned\n",
-			bbStats.Partitions, bbStats.Evaluated,
-			100*float64(bbStats.Evaluated)/float64(bbStats.Partitions),
-			bbStats.PrunedFit, bbStats.PrunedDominated)
-		fmt.Printf("  %d group pricings over %d subtree jobs (split depth %d); front %d, resident peak %d points\n",
-			bbStats.GroupPricings, bbStats.Subtrees, bbStats.SplitDepth,
-			bbStats.FrontSize, bbStats.MaxResident)
-		if bbStats.CollapsedSymmetry > 0 {
-			fmt.Printf("  symmetry: %d signature classes, %d partitions collapsed (%.1f%%)\n",
-				bbStats.Classes, bbStats.CollapsedSymmetry,
-				100*float64(bbStats.CollapsedSymmetry)/float64(bbStats.Partitions))
-		}
-		if lookups := bbStats.MemoHits + bbStats.MemoMisses; lookups > 0 {
-			fmt.Printf("  memo: %d hits, %d misses (%.1f%% hit rate), %d orbit entries\n",
-				bbStats.MemoHits, bbStats.MemoMisses,
-				100*float64(bbStats.MemoHits)/float64(lookups), bbStats.MemoEntries)
-		}
+	fmt.Printf("\nbranch-and-bound: %d partitions, %d evaluated (%.1f%%), %d fit-pruned, %d dominance-pruned\n",
+		stats.Partitions, stats.Evaluated,
+		100*float64(stats.Evaluated)/float64(stats.Partitions),
+		stats.PrunedFit, stats.PrunedDominated)
+	fmt.Printf("  %d group pricings over %d subtree jobs (split depth %d); front %d, resident peak %d points\n",
+		stats.GroupPricings, stats.Subtrees, stats.SplitDepth,
+		stats.FrontSize, stats.MaxResident)
+	if stats.CollapsedSymmetry > 0 {
+		fmt.Printf("  symmetry: %d signature classes, %d partitions collapsed (%.1f%%)\n",
+			stats.Classes, stats.CollapsedSymmetry,
+			100*float64(stats.CollapsedSymmetry)/float64(stats.Partitions))
+	}
+	if lookups := stats.MemoHits + stats.MemoMisses; lookups > 0 {
+		fmt.Printf("  memo: %d hits, %d misses (%.1f%% hit rate), %d orbit entries\n",
+			stats.MemoHits, stats.MemoMisses,
+			100*float64(stats.MemoHits)/float64(lookups), stats.MemoEntries)
 	}
 
 	var flowPerPoint time.Duration
@@ -224,6 +174,7 @@ func main() {
 	// Millions of points times hours of flow overflows a Duration's int64
 	// nanoseconds; compute the total in float seconds and saturate the
 	// printable Duration.
+	evaluated := int(stats.Evaluated)
 	flowSecs := flowPerPoint.Seconds() * float64(evaluated)
 	flowTime := time.Duration(math.MaxInt64)
 	if flowSecs < float64(math.MaxInt64)/float64(time.Second) {
@@ -233,10 +184,6 @@ func main() {
 		Points: evaluated, ModelTime: modelTime, FlowTime: flowTime,
 		SpeedupFactor: flowSecs / modelTime.Seconds(),
 	})
-	if hits, misses := e.CacheStats(); hits+misses > 0 {
-		fmt.Printf("group cache: %d hits, %d misses (%.1f%% hit rate)\n",
-			hits, misses, 100*float64(hits)/float64(hits+misses))
-	}
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -253,8 +200,7 @@ func main() {
 	}
 
 	if err := sess.Finish(dev.Name, map[string]string{
-		"engine": *engine,
-		"n":      strconv.Itoa(len(prms)),
+		"n": strconv.Itoa(len(prms)),
 	}); err != nil {
 		fatal(err)
 	}

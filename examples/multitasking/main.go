@@ -1,22 +1,24 @@
 // Multitasking: the paper's motivating scenario (§I). Three hardware tasks
 // — the FIR filter, the MIPS core and the SDRAM controller — time-multiplex
 // PRRs on a Virtex-5 LX110T. The example sizes the PRRs with the cost
-// models, runs a job stream through three system designs (dedicated PRRs,
-// one shared PRR, full reconfiguration), and then reproduces the oversizing
-// pathology: growing the shared PRR until the PR system loses to full
+// models, runs a job stream through three system designs on the sim engine
+// (dedicated PRRs, one shared PRR, full reconfiguration), and then prints
+// ablation A5: growing the shared PRR until the PR system loses to full
 // reconfiguration.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/experiments"
 	"repro/internal/icap"
-	"repro/internal/multitask"
 	"repro/internal/rtl"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -24,60 +26,51 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var specs []multitask.PRMSpec
+	var specs []sim.Spec
 	for _, prm := range rtl.PaperPRMs() {
 		row, _ := core.PaperTableVRow(prm, dev.Name)
-		specs = append(specs, multitask.PRMSpec{Name: prm, Req: row.Req, Exec: 500 * time.Microsecond})
+		specs = append(specs, sim.Spec{Name: prm, Req: row.Req})
 	}
-	est := icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}
-	jobs := multitask.RoundRobinJobs(rtl.PaperPRMs(), 300, 100*time.Microsecond)
+	// Round-robin task switching: the worst case for reconfiguration churn.
+	jobs := make([]sim.Job, 300)
+	for i := range jobs {
+		jobs[i] = sim.Job{ID: i, PRM: i % len(specs), Arrival: time.Duration(i) * 100 * time.Microsecond, Exec: 500 * time.Microsecond}
+	}
+	run := func(label string, plat sim.Platform) sim.Result {
+		res, err := sim.Run(context.Background(), sim.Config{
+			Platform:  plat,
+			Policy:    sim.FCFSBestFit{},
+			Estimator: icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM},
+		}, jobs, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		makespan := time.Duration(res.MakespanNS)
+		fmt.Printf("%-21s %d jobs in %v (%.1f jobs/s), %d reconfigs (%v, ICAP busy %.0f%%), mean wait %v\n",
+			label, res.Completed, makespan, float64(res.Completed)/makespan.Seconds(), res.Reconfigs,
+			time.Duration(res.ICAPBusyNS), res.ICAPBusy*100, time.Duration(res.MeanWaitNS))
+		return res
+	}
 
-	dedicated, err := multitask.BuildPRSystem(dev, specs, 0, est, multitask.FirstFree{})
+	dedicated, err := sim.BuildGroups(dev, specs, [][]int{{0}, {1}, {2}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dRes, err := dedicated.Run(jobs)
+	dRes := run("dedicated PRRs:", dedicated)
+	shared, err := sim.BuildShared(dev, specs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("dedicated PRRs:     ", dRes)
-
-	shared, err := multitask.BuildPRSystem(dev, specs, 1, est, multitask.ReuseAffinity{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sRes, err := shared.Run(jobs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("one shared PRR:     ", sRes)
-
-	full := multitask.BuildFullReconfigSystem(dev, specs, est)
-	fRes, err := full.Run(jobs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("full reconfiguration:", fRes)
+	run("one shared PRR:", shared)
+	fRes := run("full reconfiguration:", sim.BuildFullReconfig(dev, specs))
 
 	fmt.Printf("\nPR (dedicated) vs full reconfiguration: %.1fx makespan improvement\n\n",
-		fRes.Makespan.Seconds()/dRes.Makespan.Seconds())
+		float64(fRes.MakespanNS)/float64(dRes.MakespanNS))
 
 	// The §I pathology: oversized PRRs negate the PR benefit.
-	points, err := multitask.OversizeSweep(dev, specs, []int{1, 2, 4, 8, 16, 32, 64}, est,
-		multitask.RoundRobinJobs(rtl.PaperPRMs(), 60, 10*time.Microsecond))
+	a5, err := experiments.AblationOversize()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("oversized shared PRR sweep (round-robin task switching):")
-	for _, p := range points {
-		verdict := "PR wins"
-		if !p.PRWins() {
-			verdict = "full reconfiguration wins"
-		}
-		fmt.Printf("  %2dx columns: %8d-byte bitstream, PR %7.0f jobs/s vs full %7.0f jobs/s — %s\n",
-			p.Factor, p.BitstreamBytes, p.PRThroughput, p.FullThroughput, verdict)
-	}
-	if c := multitask.Crossover(points); c != 0 {
-		fmt.Printf("crossover at %dx: beyond this the PR design is worse than not using PR at all\n", c)
-	}
+	fmt.Print(a5.String())
 }

@@ -8,6 +8,7 @@ package repro
 // multitasking simulation over the resulting platform.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -16,9 +17,9 @@ import (
 	"repro/internal/device"
 	"repro/internal/floorplan"
 	"repro/internal/icap"
-	"repro/internal/multitask"
 	"repro/internal/par"
 	"repro/internal/rtl"
+	"repro/internal/sim"
 	"repro/internal/synth"
 )
 
@@ -31,7 +32,7 @@ func TestEndToEndSystem(t *testing.T) {
 
 	// 1. Synthesize and size each PRM, placing PRRs disjointly.
 	var avoid []floorplan.Region
-	var specs []multitask.PRMSpec
+	var specs []sim.Spec
 	type placed struct {
 		name string
 		org  core.Organization
@@ -80,9 +81,7 @@ func TestEndToEndSystem(t *testing.T) {
 		if _, err := bitstream.Parse(data, dev.Params.FrameWords); err != nil {
 			t.Fatalf("%s: generated bitstream does not parse: %v", name, err)
 		}
-		specs = append(specs, multitask.PRMSpec{
-			Name: name, Req: core.FromReport(rep), Exec: 300 * time.Microsecond,
-		})
+		specs = append(specs, sim.Spec{Name: name, Req: core.FromReport(rep)})
 	}
 
 	// 4. Relocate the SDRAM bitstream one row up (homologous window).
@@ -106,24 +105,29 @@ func TestEndToEndSystem(t *testing.T) {
 
 	// 5. Run the multitasking simulation over the platform; PR must beat the
 	// full-reconfiguration baseline.
-	sys, err := multitask.BuildPRSystem(dev, specs, 0, est, multitask.FirstFree{})
+	pr, err := sim.BuildGroups(dev, specs, [][]int{{0}, {1}, {2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := multitask.RandomJobs(rtl.PaperPRMs(), 120, 80*time.Microsecond, 42)
-	prRes, err := sys.Run(jobs)
+	jobs, err := sim.Mix{Jobs: 120, Seed: 42, MeanGap: 80 * time.Microsecond, MeanExec: 300 * time.Microsecond}.Generate(len(specs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := multitask.BuildFullReconfigSystem(dev, specs, est)
-	fullRes, err := full.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
+	run := func(plat sim.Platform) sim.Result {
+		t.Helper()
+		res, err := sim.Run(context.Background(), sim.Config{Platform: plat, Policy: sim.FCFSBestFit{}, Estimator: est}, jobs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if prRes.Jobs != 120 || fullRes.Jobs != 120 {
-		t.Fatalf("job counts: PR %d, full %d", prRes.Jobs, fullRes.Jobs)
+	prRes := run(pr)
+	fullRes := run(sim.BuildFullReconfig(dev, specs))
+	if prRes.Completed != 120 || fullRes.Completed != 120 {
+		t.Fatalf("job counts: PR %d, full %d", prRes.Completed, fullRes.Completed)
 	}
-	if prRes.Makespan >= fullRes.Makespan {
-		t.Errorf("PR makespan %v did not beat full reconfiguration %v", prRes.Makespan, fullRes.Makespan)
+	if prRes.MakespanNS >= fullRes.MakespanNS {
+		t.Errorf("PR makespan %v did not beat full reconfiguration %v",
+			time.Duration(prRes.MakespanNS), time.Duration(fullRes.MakespanNS))
 	}
 }

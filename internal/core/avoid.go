@@ -1,19 +1,15 @@
 package core
 
-import (
-	"strconv"
-
-	"repro/internal/floorplan"
-)
+import "repro/internal/floorplan"
 
 // Avoid-envelope canonicalization. Every PRRModel output — Estimate,
 // EstimateShared, feasibility and the placed Region — depends on the Avoid
 // field only through the *multiset* of regions it holds: the window search
 // rejects a candidate position iff it overlaps any avoid region, so
 // permutations (and duplicates beyond the first) of the same regions yield
-// identical results. Callers that memoize priced groups (the DSE engines'
-// caches) therefore key on the canonical form below rather than the raw
-// slice, so equivalent avoid sets share one entry.
+// identical results. Callers that memoize priced groups (the DSE engine's
+// group-pricing memo) therefore key on the regions sorted by RegionLess
+// rather than the raw slice, so equivalent avoid sets share one entry.
 
 // RegionLess is the canonical ordering of placed regions: by Row, then Col,
 // then H, then W. It is a total order on distinct regions, so sorting by it
@@ -29,53 +25,4 @@ func RegionLess(a, b floorplan.Region) bool {
 		return a.H < b.H
 	}
 	return a.W < b.W
-}
-
-// AppendAvoidKey appends the canonical avoid-envelope encoding to buf and
-// returns the extended buffer: the regions sorted by RegionLess, each
-// rendered as "row.col.h.w;". The encoding is injective on region multisets —
-// two buffers compare equal iff the avoid multisets are equal — because the
-// sort fixes the order and the separators delimit every decimal field.
-//
-// scratch receives the sorted copy so the encoding allocates nothing once
-// the caller's buffers have warmed up; pass the returned scratch back on the
-// next call. The sort is an insertion sort: avoid sets hold one region per
-// already-placed PRR group, so they are tiny and a library sort's overhead
-// would dominate.
-func AppendAvoidKey(buf []byte, avoid []floorplan.Region, scratch []floorplan.Region) ([]byte, []floorplan.Region) {
-	if len(avoid) == 0 {
-		return buf, scratch
-	}
-	scratch = append(scratch[:0], avoid...)
-	for i := 1; i < len(scratch); i++ {
-		for j := i; j > 0 && RegionLess(scratch[j], scratch[j-1]); j-- {
-			scratch[j], scratch[j-1] = scratch[j-1], scratch[j]
-		}
-	}
-	for _, r := range scratch {
-		buf = strconv.AppendInt(buf, int64(r.Row), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendInt(buf, int64(r.Col), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendInt(buf, int64(r.H), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendInt(buf, int64(r.W), 10)
-		buf = append(buf, ';')
-	}
-	return buf, scratch
-}
-
-// AvoidEquivalent reports whether two avoid lists are equivalent for every
-// cost-model output: they hold the same multiset of regions. It is the
-// predicate AppendAvoidKey's encoding realizes — AvoidEquivalent(a, b) iff
-// the two canonical keys are byte-identical.
-func AvoidEquivalent(a, b []floorplan.Region) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var bufA, bufB []byte
-	var scratch []floorplan.Region
-	bufA, scratch = AppendAvoidKey(nil, a, scratch)
-	bufB, _ = AppendAvoidKey(nil, b, scratch)
-	return string(bufA) == string(bufB)
 }

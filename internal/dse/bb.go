@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,7 +26,7 @@ type BBOptions struct {
 	// The front is unchanged: only strictly-dominated points are skipped.
 	DominancePrune bool
 	// DisableFitPrune turns off the monotone infeasibility bound, pricing
-	// every partition like the flat engines (for measurement).
+	// every partition like ExploreAll (for measurement).
 	DisableFitPrune bool
 	// Symmetry selects the interchangeable-PRM collapse (see SymmetryMode).
 	// The default, SymmetryAuto, canonicalizes whenever two PRMs share a
@@ -59,8 +60,8 @@ type BBStats struct {
 	// Classes is the number of distinct PRM requirement signatures.
 	Classes int
 	// GroupPricings counts EstimateShared-equivalent group pricings — the
-	// engine's real work unit. The flat engines price (or look up) every
-	// group of every partition; prefix sharing prices each tree edge once.
+	// engine's real work unit. ExploreAll prices every group of every
+	// partition; prefix sharing prices each tree edge once.
 	GroupPricings int64
 	// Subtrees is the number of parallel subtree jobs the run split into.
 	Subtrees int
@@ -69,7 +70,7 @@ type BBStats struct {
 	// FrontSize is the final Pareto-front size (Pareto mode).
 	FrontSize int
 	// MaxResident is the peak number of design points held by the engine at
-	// any instant — O(front), where the flat engines hold O(Bell(n)).
+	// any instant — O(front), where ExploreAll holds O(Bell(n)).
 	MaxResident int64
 	// MemoHits / MemoMisses count group-pricing memo lookups (0 with MemoOff
 	// or when every signature is distinct). Every tree edge does exactly one
@@ -80,6 +81,22 @@ type BBStats struct {
 	// MemoEntries is the number of distinct (composition, avoid-multiset)
 	// evaluations stored — the orbit-level count the fiber walk collapsed to.
 	MemoEntries int64
+}
+
+// maxPRMs is the largest exploration the engine accepts: Bell(25) is the
+// last Bell number that fits in int64, and BBStats counts partitions in it.
+const maxPRMs = 25
+
+// groupEval is the outcome of pricing one PRM group against an avoid set:
+// everything a design point needs from core.PRRModel.EstimateShared plus
+// core.BitstreamModel.SizeBytes.
+type groupEval struct {
+	feasible bool
+	errMsg   string
+	region   floorplan.Region
+	tiles    int
+	bytes    int
+	minCLB   float64
 }
 
 // bbJob is one subtree: a length-SplitDepth RGS prefix plus the enumeration
@@ -151,7 +168,7 @@ type bbState struct {
 	rgs     []int
 	members [][]int
 	// evals/placed are the priced-group stack, valid for groups 0..k-1 when
-	// firstBad < 0, else for groups 0..firstBad (mirroring evaluate(), which
+	// firstBad < 0, else for groups 0..firstBad (mirroring Evaluate, which
 	// stops pricing at the first infeasible group).
 	evals    []groupEval
 	placed   []floorplan.Region
@@ -203,7 +220,7 @@ type bbState struct {
 }
 
 // reprice re-derives the priced-group stack from group `from` on, stopping
-// at the first infeasible group exactly like evaluate() does.
+// at the first infeasible group exactly like Evaluate does.
 func (s *bbState) reprice(from int) {
 	// Keep the stacks sized to the group count even when an infeasible
 	// prefix makes pricing moot: rec's save/restore slices them at group
@@ -657,6 +674,10 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 	if n == 0 {
 		return nil, stats, ctx.Err()
 	}
+	if n > maxPRMs {
+		return nil, stats, fmt.Errorf("dse: %d PRMs exceed the %d the exploration counters can represent (Bell(%d) overflows int64)",
+			n, maxPRMs, maxPRMs+1)
+	}
 	ctx, span := obs.StartSpan(ctx, "dse.bb")
 	defer span.End()
 
@@ -736,8 +757,6 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			metWorkersActive.Add(1)
-			defer metWorkersActive.Add(-1)
 			// Each worker owns one child span of dse.bb covering the subtree
 			// jobs it drains, so a request's trace shows how the partition
 			// space was carved up (spans are goroutine-local; the parent span
@@ -840,7 +859,8 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 // collapse active (duplicate signatures under SymmetryAuto), only canonical
 // fiber representatives are priced and delivered — use ExpandSymmetric to
 // rehydrate a front derived from them. Returning false from visit halts the
-// exploration early with a nil error.
+// exploration early with a nil error. More than 25 PRMs is an error, returned
+// before any walking: Bell(26) overflows the int64 counters in BBStats.
 func (e *Explorer) ExploreBB(ctx context.Context, prms []PRM, opts BBOptions, visit func(DesignPoint) bool) (BBStats, error) {
 	_, stats, err := e.exploreBB(ctx, prms, opts, false, visit)
 	return stats, err
@@ -867,6 +887,34 @@ func (e *Explorer) ExploreParetoBB(ctx context.Context, prms []PRM, opts BBOptio
 func (e *Explorer) ExplorePareto(ctx context.Context, prms []PRM) ([]DesignPoint, error) {
 	front, _, err := e.ExploreParetoBB(ctx, prms, BBOptions{DominancePrune: true})
 	return front, err
+}
+
+// bellNumber returns Bell(n), the number of set partitions of n elements,
+// via the Bell triangle. Exact in int64 range through n = maxPRMs.
+func bellNumber(n int) int {
+	if n == 0 {
+		return 1
+	}
+	row := []int{1}
+	for i := 1; i < n; i++ {
+		next := make([]int, len(row)+1)
+		next[0] = row[len(row)-1]
+		for j := range row {
+			next[j+1] = next[j] + row[j]
+		}
+		row = next
+	}
+	return row[len(row)-1]
+}
+
+// copyGroups deep-copies a partition so a design point can outlive the
+// worker's reusable member stack.
+func copyGroups(groups [][]int) [][]int {
+	out := make([][]int, len(groups))
+	for i, g := range groups {
+		out[i] = append([]int(nil), g...)
+	}
+	return out
 }
 
 // maxNeed takes the per-kind maximum of two window lower bounds.

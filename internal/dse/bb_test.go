@@ -4,8 +4,11 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/icap"
 )
@@ -75,7 +78,7 @@ func TestExploreParetoMatchesFlatRandom(t *testing.T) {
 
 // TestExploreParetoConstrained is the pruning scale check: on the
 // constrained fabric the fit bound must skip more than half the partitions
-// without evaluation, the front must still exactly match the flat engine,
+// without evaluation, the front must still exactly match ExploreAll's,
 // and the streaming engine's peak resident point count must stay at
 // front-scale, not Bell(n)-scale.
 func TestExploreParetoConstrained(t *testing.T) {
@@ -264,4 +267,140 @@ func TestBBStatsMetricsFlow(t *testing.T) {
 	if got := metBBPrunedFit.Value() - before; got != stats.PrunedFit {
 		t.Errorf("registry pruned-fit delta %d != stats %d", got, stats.PrunedFit)
 	}
+}
+
+// TestExploreBBEmpty: no PRMs yields no front, no stats and no error.
+func TestExploreBBEmpty(t *testing.T) {
+	e := explorer(t, "XC6VLX75T")
+	front, stats, err := e.ExploreParetoBB(context.Background(), nil, BBOptions{})
+	if err != nil || front != nil || stats != (BBStats{}) {
+		t.Errorf("empty exploration = (%v, %+v, %v), want (nil, zero, nil)", front, stats, err)
+	}
+}
+
+// TestExploreBBRejectsBellOverflow: Bell(26) overflows the int64 partition
+// counters, so 26 PRMs must fail up front instead of reporting a negative
+// design space (and a negative collapse ratio) after walking it.
+func TestExploreBBRejectsBellOverflow(t *testing.T) {
+	e := explorer(t, "XC6VLX75T")
+	visited := 0
+	stats, err := e.ExploreBB(context.Background(), DuplicatePRMs(26, 1), BBOptions{}, func(DesignPoint) bool {
+		visited++
+		return true
+	})
+	if err == nil || !strings.Contains(err.Error(), "26 PRMs") {
+		t.Fatalf("ExploreBB(26 PRMs) error = %v, want an overflow rejection", err)
+	}
+	if visited != 0 || stats != (BBStats{}) {
+		t.Errorf("rejected exploration still walked: %d points visited, stats %+v", visited, stats)
+	}
+	if _, _, err := e.ExploreParetoBB(context.Background(), DuplicatePRMs(26, 1), BBOptions{}); err == nil {
+		t.Error("ExploreParetoBB accepted 26 PRMs")
+	}
+}
+
+// TestBellNumber pins the Bell numbers the partition counters report,
+// through the last one int64 holds.
+func TestBellNumber(t *testing.T) {
+	want := []int{1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570}
+	for n, w := range want {
+		if got := bellNumber(n); got != w {
+			t.Errorf("Bell(%d) = %d, want %d", n, got, w)
+		}
+	}
+	if got := bellNumber(maxPRMs); got != 4638590332229999353 {
+		t.Errorf("Bell(%d) = %d, want 4638590332229999353", maxPRMs, got)
+	}
+}
+
+// waitForGoroutines polls until the goroutine count drops back to at most
+// base (with a little slack for runtime helpers), failing after the
+// deadline.
+func waitForGoroutines(t *testing.T, base int, deadline time.Duration) {
+	t.Helper()
+	const slack = 2
+	end := time.Now().Add(deadline)
+	for {
+		if runtime.NumGoroutine() <= base+slack {
+			return
+		}
+		if time.Now().After(end) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines did not return to baseline %d (now %d):\n%s",
+				base, runtime.NumGoroutine(), buf[:n])
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExploreBBNoGoroutineLeakOnCancel proves the subtree workers exit
+// promptly when the context is cancelled mid-walk: the visitor holds the
+// first point until the cancel has fired, so the walk cannot finish first,
+// and every worker must then unwind. XC6VLX75T, because its synthetic
+// workload yields feasible points (on larger parts BB visits none).
+func TestExploreBBNoGoroutineLeakOnCancel(t *testing.T) {
+	e := explorer(t, "XC6VLX75T")
+	prms := SyntheticPRMs(11)
+	base := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		once := false
+		_, err := e.ExploreBB(ctx, prms, BBOptions{Workers: 4}, func(DesignPoint) bool {
+			if !once {
+				once = true // visit is serialized, so no race on once
+				close(first)
+				<-ctx.Done()
+			}
+			return true
+		})
+		errc <- err
+	}()
+
+	<-first
+	cancel()
+	start := time.Now()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("cancelled exploration returned no error")
+		}
+		t.Logf("cancel-to-return %v", time.Since(start))
+	case <-time.After(10 * time.Second):
+		t.Fatal("exploration did not return after cancel")
+	}
+	waitForGoroutines(t, base, 5*time.Second)
+}
+
+// TestExploreBBNoGoroutineLeakOnEarlyStop: a visitor that stops the walk
+// leaves no workers behind.
+func TestExploreBBNoGoroutineLeakOnEarlyStop(t *testing.T) {
+	e := explorer(t, "XC6VLX75T")
+	base := runtime.NumGoroutine()
+	seen := 0
+	if _, err := e.ExploreBB(context.Background(), SyntheticPRMs(9), BBOptions{Workers: 4}, func(DesignPoint) bool {
+		seen++
+		return seen < 3
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen < 3 {
+		t.Fatalf("visit called %d times, early-stop threshold never reached", seen)
+	}
+	waitForGoroutines(t, base, 5*time.Second)
+}
+
+// TestExploreBBNoGoroutineLeakOnCompletion: the happy path leaves no
+// workers behind either.
+func TestExploreBBNoGoroutineLeakOnCompletion(t *testing.T) {
+	e := explorer(t, "XC6VLX75T")
+	base := runtime.NumGoroutine()
+	if _, _, err := e.ExploreParetoBB(context.Background(), SyntheticPRMs(7), BBOptions{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	waitForGoroutines(t, base, 5*time.Second)
 }

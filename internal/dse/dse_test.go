@@ -1,6 +1,8 @@
 package dse
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -30,6 +32,36 @@ func explorer(t *testing.T, devName string) *Explorer {
 		t.Fatal(err)
 	}
 	return &Explorer{Device: dev, Estimator: icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}}
+}
+
+// randomPRMs builds a reproducible random PRM set: mostly small modules
+// that fit the catalog parts, with occasional DSP/BRAM demands and the odd
+// oversized module to exercise the infeasibility paths.
+func randomPRMs(rng *rand.Rand, n int) []PRM {
+	prms := make([]PRM, n)
+	for i := range prms {
+		luts := 100 + rng.Intn(1500)
+		ffs := 100 + rng.Intn(1500)
+		pairs := luts
+		if ffs > pairs {
+			pairs = ffs
+		}
+		pairs += rng.Intn(300)
+		req := core.Requirements{LUTFFPairs: pairs, LUTs: luts, FFs: ffs}
+		if rng.Intn(3) == 0 {
+			req.DSPs = 1 + rng.Intn(8)
+		}
+		if rng.Intn(3) == 0 {
+			req.BRAMs = 1 + rng.Intn(4)
+		}
+		if rng.Intn(8) == 0 { // too big for most windows
+			req.LUTFFPairs *= 40
+			req.LUTs *= 40
+			req.FFs *= 40
+		}
+		prms[i] = PRM{Name: fmt.Sprintf("M%d", i), Req: req}
+	}
+	return prms
 }
 
 // TestPartitionEnumeration: Bell numbers for small n.

@@ -47,65 +47,17 @@ type DesignPoint struct {
 type Explorer struct {
 	Device    *device.Device
 	Estimator icap.Estimator
-
-	// stats counts group-cache lookups across every ExploreAllParallel call
-	// on this Explorer, striped by cache shard; see explorerStats.
-	stats explorerStats
 }
 
-// CacheStats returns the cumulative group-cache hit and miss counts from
-// this Explorer's memoized explorations. The pair is a consistent snapshot:
-// all stat stripes are read under a single epoch, so hits+misses equals the
-// exact number of lookups completed at that instant even while an
-// exploration is running.
-func (e *Explorer) CacheStats() (hits, misses int64) {
-	return e.stats.snapshot()
-}
-
-// Evaluate prices one partitioning with the cost models.
+// Evaluate prices one partitioning with the cost models. Groups are priced
+// in order; each group's PRR must avoid the regions placed for the groups
+// before it.
 func (e *Explorer) Evaluate(prms []PRM, groups [][]int) DesignPoint {
-	return e.evaluate(prms, groups, nil, nil)
-}
-
-// evaluate prices one partitioning, consulting and filling cache (when
-// non-nil) for per-group results; classOf is the signature-class map the
-// cache keys encode members through (required when cache is non-nil, so
-// interchangeable PRMs share entries). Groups are priced in order; each
-// group's PRR must avoid the regions placed for the groups before it.
-func (e *Explorer) evaluate(prms []PRM, groups [][]int, cache *groupCache, classOf []int) DesignPoint {
 	dp := DesignPoint{Groups: groups, Feasible: true, MinRU: 100}
 	bit := core.NewBitstreamModel(e.Device.Params)
-
-	// Registry counters are batched per partition (two atomic adds at exit)
-	// so the per-lookup cost stays at one striped stat update.
-	var hits, misses int64
-	defer func() {
-		metCacheHits.Add(hits)
-		metCacheMisses.Add(misses)
-	}()
-
 	placed := make([]floorplan.Region, 0, len(groups))
-	var keyBuf []byte
-	var regScratch []floorplan.Region
 	for _, g := range groups {
-		var ev groupEval
-		if cache != nil {
-			keyBuf, regScratch = groupKey(keyBuf, g, classOf, placed, regScratch)
-			key := keyBuf
-			shard := cache.shardIndex(key)
-			var ok bool
-			if ev, ok = cache.get(shard, key); ok {
-				e.stats.add(shard, true)
-				hits++
-			} else {
-				e.stats.add(shard, false)
-				misses++
-				ev = e.priceGroup(prms, g, placed, bit)
-				cache.put(shard, key, ev)
-			}
-		} else {
-			ev = e.priceGroup(prms, g, placed, bit)
-		}
+		ev := e.priceGroup(prms, g, placed, bit)
 		if !ev.feasible {
 			dp.Feasible = false
 			dp.Infeasibility = ev.errMsg
@@ -154,8 +106,9 @@ func (e *Explorer) priceGroup(prms []PRM, g []int, placed []floorplan.Region, bi
 
 // ExploreAll enumerates every set partition of the PRMs (Bell(n) points; n
 // is small in PR floorplanning practice) and evaluates each sequentially.
-// It is the uncached single-threaded baseline; ExploreAllParallel produces
-// the identical point list using all cores and the group cache.
+// It is the brute-force oracle the branch-and-bound engine is tested against
+// (ExploreParetoBB returns exactly Pareto(ExploreAll(prms))) and the full
+// design-point listing of ablation A7; production callers use ExploreBB.
 func (e *Explorer) ExploreAll(prms []PRM) []DesignPoint {
 	var points []DesignPoint
 	forEachPartitionRGS(len(prms), func(_ int, rgs []int) bool {

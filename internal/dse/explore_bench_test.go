@@ -40,35 +40,11 @@ func BenchmarkExploreAllSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreAllParallel is the worker-pool + group-cache path; it must
-// return the identical point list (see TestExploreAllParallelMatchesSequential).
-func BenchmarkExploreAllParallel(b *testing.B) {
-	for _, n := range []int{8, 9, 10, 11} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e := benchExplorer(b)
-			prms := benchPRMs(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				points, err := e.ExploreAllParallel(context.Background(), prms)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(points) != bellNumber(n) {
-					b.Fatalf("points = %d", len(points))
-				}
-			}
-			b.StopTimer()
-			hits, misses := e.CacheStats()
-			b.ReportMetric(float64(hits)/float64(hits+misses), "hit-rate")
-		})
-	}
-}
-
 // BenchmarkExploreParetoBB is the branch-and-bound engine on the constrained
 // fabric, the workload pruning targets: the same Pareto front as
-// Pareto(ExploreAllParallel(...)) while most of the Bell(n) partitions die in
-// the tree before any pricing. n=12-13 are far past where the flat engines
-// remain practical.
+// Pareto(ExploreAll(...)) while most of the Bell(n) partitions die in the
+// tree before any pricing. n=12-13 are far past where the brute-force
+// enumeration remains practical.
 func BenchmarkExploreParetoBB(b *testing.B) {
 	for _, n := range []int{11, 12, 13} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -93,7 +69,7 @@ func BenchmarkExploreParetoBB(b *testing.B) {
 // BenchmarkExploreParetoBBDup is the symmetry collapse plus the orbit-level
 // group-pricing memo on duplicate-heavy workloads: n modules over k distinct
 // requirement signatures in contiguous blocks (see DuplicatePRMs). n=16
-// (Bell ≈ 1.0e10) is far beyond the flat engines and reachable only because
+// (Bell ≈ 1.0e10) is far beyond brute force and reachable only because
 // the engine walks fiber representatives and the memo collapses their group
 // pricings to one per orbit-level (composition, avoid-multiset) pair:
 // collapsed-frac reports the fraction of the partition space skipped as
@@ -170,28 +146,5 @@ func BenchmarkMemoHit(b *testing.B) {
 	b.StopTimer()
 	if s.memoHits == 0 {
 		b.Fatal("benchmark loop never hit the memo")
-	}
-}
-
-// BenchmarkExploreAllParallelConstrained is the flat baseline on the same
-// constrained workload, for a like-for-like pruned-versus-flat comparison.
-// n=13 (Bell ≈ 27.6M flat evaluations) is omitted: only the tree engine
-// reaches it in benchmarkable time.
-func BenchmarkExploreAllParallelConstrained(b *testing.B) {
-	for _, n := range []int{11, 12} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e := &Explorer{Device: ConstrainedDevice(), Estimator: icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}}
-			prms := ConstrainedPRMs(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				points, err := e.ExploreAllParallel(context.Background(), prms)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(Pareto(points)) == 0 {
-					b.Fatal("empty front")
-				}
-			}
-		})
 	}
 }

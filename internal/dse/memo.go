@@ -22,13 +22,13 @@ import (
 //
 // for feasible outcomes, because EstimateShared merges per-resource maxima
 // (order- and identity-free) and the window search rejects candidates by
-// overlap against the avoid *set* (core.AppendAvoidKey documents that
+// overlap against the avoid *set* (core.RegionLess documents that
 // envelope). The fabric is fixed per exploration — the memo lives on one
 // bbRun — so fabric identity never needs encoding.
 //
 // Infeasible outcomes carry one order-dependent artifact: EstimateShared's
 // error names the in-group index of the first member that failed ("core:
-// PRM %d: ..."), and the flat engines' points quote that text verbatim. Two
+// PRM %d: ..."), and ExploreAll's points quote that text verbatim. Two
 // orderings of the same composition fail identically in every other respect
 // but may render different indexes. The memo therefore keeps two tables:
 // feasible evaluations under the canonical (sorted-composition) key, and
@@ -50,9 +50,9 @@ const (
 	MemoOff
 )
 
-// memoShardCount spreads the memo over independently locked shards, exactly
-// like the flat engine's groupCache.
-const memoShardCount = cacheShardCount
+// memoShardCount spreads the memo over independently locked shards so
+// parallel subtree workers rarely contend on the same mutex.
+const memoShardCount = 32
 
 // groupMemo is the per-exploration pricing memo, shared by every subtree
 // worker of one bbRun so the first-k-level jobs warm each other. Keys index
@@ -81,11 +81,10 @@ func newGroupMemo() *groupMemo {
 	return m
 }
 
-// fnvShardIndex picks a shard by an FNV-style mix over the key (shared with
-// groupCache.shardIndex so both memos stripe identically). The mix consumes
-// eight bytes per multiply instead of FNV-1a's one: shard selection only
-// needs a balanced spread over 32 buckets, not the reference digest, and the
-// engine hashes a key per tree edge.
+// fnvShardIndex picks a shard by an FNV-style mix over the key. The mix
+// consumes eight bytes per multiply instead of FNV-1a's one: shard selection
+// only needs a balanced spread over 32 buckets, not the reference digest, and
+// the engine hashes a key per tree edge.
 func fnvShardIndex(key []byte) int {
 	const (
 		offset64 = 14695981039346656037

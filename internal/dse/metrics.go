@@ -1,40 +1,12 @@
 package dse
 
-import (
-	"sync"
+import "repro/internal/obs"
 
-	"repro/internal/obs"
-)
-
-// Process-wide exploration metrics, registered in the default observability
-// registry. The per-Explorer CacheStats API remains the per-instance view;
-// these series aggregate across every explorer in the process so /metrics
-// shows engine-wide totals.
-var (
-	metExplorations = obs.Default().Counter("dse_explorations_total",
-		"completed ExploreAllParallel calls")
-	metPartitions = obs.Default().Counter("dse_partitions_evaluated_total",
-		"set partitions priced by the parallel explorer")
-	metCacheHits = obs.Default().Counter("dse_group_cache_hits_total",
-		"group-cache lookups answered from the memo")
-	metCacheMisses = obs.Default().Counter("dse_group_cache_misses_total",
-		"group-cache lookups that priced the group with the cost models")
-	metWorkersActive = obs.Default().Gauge("dse_workers_active",
-		"exploration worker goroutines currently running")
-	metPartitionRate = obs.Default().Gauge("dse_last_partitions_per_sec",
-		"partition throughput of the most recent exploration")
-	metEvalLatency = obs.Default().Histogram("dse_partition_eval_seconds",
-		"wall time to price one partition (sampled when observability is active)",
-		obs.LatencyBuckets)
-	metCancelDrain = obs.Default().Histogram("dse_cancel_drain_seconds",
-		"latency from context cancellation to the last worker exiting",
-		obs.LatencyBuckets)
-)
-
-// Branch-and-bound engine metrics: how much of the design space the bounds
-// removed before any pricing happened, how much incremental pricing work the
-// surviving tree cost, and how small the streaming engine's resident set
-// stayed.
+// Process-wide branch-and-bound metrics, registered in the default
+// observability registry so /metrics shows engine-wide totals: how much of
+// the design space the bounds removed before any pricing happened, how much
+// incremental pricing work the surviving tree cost, and how small the
+// streaming engine's resident set stayed.
 var (
 	metBBExplorations = obs.Default().Counter("dse_bb_explorations_total",
 		"completed branch-and-bound explorations")
@@ -63,8 +35,7 @@ var (
 )
 
 // Group-pricing memo metrics (see memo.go): how much of the fiber walk's
-// pricing work collapsed to orbit-level lookups, mirroring the flat engine's
-// cache counters.
+// pricing work collapsed to orbit-level lookups.
 var (
 	metMemoHits = obs.Default().Counter("dse_group_memo_hits_total",
 		"group-pricing memo lookups answered without touching the cost models")
@@ -85,49 +56,3 @@ var (
 	metSymCollapsePct = obs.Default().Gauge("dse_symmetry_collapse_ratio_pct",
 		"percentage of the most recent exploration's partition space removed by the symmetry collapse")
 )
-
-// statStripe is one stripe of an Explorer's cache-lookup accounting, padded
-// to its own cache line so parallel workers do not false-share.
-type statStripe struct {
-	mu           sync.Mutex
-	hits, misses int64
-	_            [64 - 8 - 16]byte
-}
-
-// explorerStats counts group-cache lookups, striped by the cache's shard
-// index: workers update the stripe matching the shard they just touched, so
-// contention stays as low as the sharded cache itself. CacheStats locks all
-// stripes at once, which excludes every in-flight increment — the snapshot
-// is a single epoch, not a racy mid-run sum.
-type explorerStats struct {
-	stripes [cacheShardCount]statStripe
-}
-
-// add records one lookup outcome on the given stripe.
-func (s *explorerStats) add(stripe int, hit bool) {
-	st := &s.stripes[stripe]
-	st.mu.Lock()
-	if hit {
-		st.hits++
-	} else {
-		st.misses++
-	}
-	st.mu.Unlock()
-}
-
-// snapshot sums all stripes under a single epoch: every stripe lock is held
-// simultaneously (acquired in index order; writers only ever hold one), so
-// no increment can interleave with the read.
-func (s *explorerStats) snapshot() (hits, misses int64) {
-	for i := range s.stripes {
-		s.stripes[i].mu.Lock()
-	}
-	for i := range s.stripes {
-		hits += s.stripes[i].hits
-		misses += s.stripes[i].misses
-	}
-	for i := range s.stripes {
-		s.stripes[i].mu.Unlock()
-	}
-	return hits, misses
-}

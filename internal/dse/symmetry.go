@@ -13,7 +13,7 @@ type SymmetryMode int
 const (
 	// SymmetryAuto enables the symmetry collapse whenever at least two PRMs
 	// share a requirement signature, and is a no-op otherwise. The expanded
-	// front is always element-for-element identical to the flat engines', so
+	// front is always element-for-element identical to ExploreAll's, so
 	// auto is safe as the default.
 	SymmetryAuto SymmetryMode = iota
 	// SymmetryOff explores the full partition space with no collapse.
@@ -109,7 +109,7 @@ func classifyPRMs(prms []PRM) classTable {
 // (see DESIGN.md §13) — and re-sorts the union by the objectives with the
 // full-space enumeration index as the tie-break. A fiber can surface several
 // representatives (see mrgs.go); the expansion dedupes them, so the result
-// is element-for-element what the flat engines' Pareto front contains for
+// is element-for-element what Pareto(ExploreAll(prms)) contains for
 // the same PRMs.
 //
 // Fronts produced without duplicates (every PRM its own class) are returned

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -136,16 +137,6 @@ func TestAblations(t *testing.T) {
 			t.Errorf("portability: %s (%s) not validated exactly:\n%s", row[0], row[1], p.String())
 		}
 	}
-	o, err := AblationOversize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Rows[0][4] != "true" {
-		t.Error("right-sized PR should win the oversize sweep's first point")
-	}
-	if o.Rows[len(o.Rows)-1][4] != "false" {
-		t.Error("the most oversized PRR should lose to full reconfiguration")
-	}
 	if _, err := AblationReconfigModels(); err != nil {
 		t.Error(err)
 	}
@@ -157,3 +148,63 @@ func TestAblations(t *testing.T) {
 		t.Errorf("DSE speedup = %.0f, want >= 1000", prod.SpeedupFactor)
 	}
 }
+
+// TestOversizeSweep reproduces the §I pathology (A5): as the shared PRR
+// grows, its bitstream grows, PR throughput degrades monotonically, and PR
+// loses to full reconfiguration from 8x on.
+func TestOversizeSweep(t *testing.T) {
+	o, err := AblationOversize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(o.Rows) != 7 {
+		t.Fatalf("A5 rows = %d, want 7 oversize factors", len(o.Rows))
+	}
+	if o.Rows[0][4] != "true" {
+		t.Error("right-sized PR should win the oversize sweep's first point")
+	}
+	if o.Rows[len(o.Rows)-1][4] != "false" {
+		t.Error("the most oversized PRR should lose to full reconfiguration")
+	}
+	cell := func(i, j int) float64 {
+		v, err := strconv.ParseFloat(o.Rows[i][j], 64)
+		if err != nil {
+			t.Fatalf("A5 row %d column %d: %v", i, j, err)
+		}
+		return v
+	}
+	for i := 1; i < len(o.Rows); i++ {
+		if cell(i, 1) <= cell(i-1, 1) {
+			t.Errorf("bitstream bytes not growing at factor %s", o.Rows[i][0])
+		}
+		if cell(i, 2) > cell(i-1, 2) {
+			t.Errorf("PR throughput increased at factor %s", o.Rows[i][0])
+		}
+	}
+	crossover := ""
+	for _, row := range o.Rows {
+		if row[4] == "false" {
+			crossover = row[0]
+			break
+		}
+	}
+	if crossover != "8" {
+		t.Errorf("PR stops beating full reconfiguration at %sx, want 8x", crossover)
+	}
+	if got := o.String(); got != a5Golden {
+		t.Errorf("A5 table changed:\n%s\nwant:\n%s", got, a5Golden)
+	}
+}
+
+// a5Golden pins the A5 table byte for byte: any change to the sweep's
+// platforms, job stream, estimator or scheduling policy shows here.
+const a5Golden = "A5 — oversized shared PRR vs full reconfiguration (XC5VLX110T, round-robin)\n" +
+	"oversize factor  bitstream bytes  PR jobs/s  full-reconfig jobs/s  PR wins\n" +
+	"--------------------------------------------------------------------------\n" +
+	"1                785824           338.3      79.0                  true   \n" +
+	"2                1287664          221.0      79.0                  true   \n" +
+	"4                2291344          130.5      79.0                  true   \n" +
+	"8                4298704          71.8       79.0                  false  \n" +
+	"16               8313424          37.8       79.0                  false  \n" +
+	"32               16342864         19.4       79.0                  false  \n" +
+	"64               32401744         9.8        79.0                  false  \n"

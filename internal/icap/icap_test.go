@@ -124,28 +124,3 @@ func TestEstimatorMonotonicity(t *testing.T) {
 		}
 	}
 }
-
-// TestControllerSerializes: overlapping requests queue on the shared port
-// and the empirical busy factor reflects the load.
-func TestControllerSerializes(t *testing.T) {
-	c := NewController(ClausModel{Port: ICAP32, BusyFactor: 0})
-	// Two 1 ms transfers requested at the same instant.
-	s1, d1 := c.Reconfigure(0, 400_000)
-	s2, d2 := c.Reconfigure(0, 400_000)
-	if s1 != 0 || d1 != time.Millisecond {
-		t.Errorf("first transfer [%v, %v], want [0, 1ms]", s1, d1)
-	}
-	if s2 != d1 || d2 != 2*time.Millisecond {
-		t.Errorf("second transfer [%v, %v], want [1ms, 2ms]", s2, d2)
-	}
-	if got := c.BusyFactor(4 * time.Millisecond); got != 0.5 {
-		t.Errorf("busy factor = %v, want 0.5", got)
-	}
-	if c.Transfers() != 2 || c.TotalBusy() != 2*time.Millisecond {
-		t.Errorf("accounting: %d transfers, %v busy", c.Transfers(), c.TotalBusy())
-	}
-	c.Reset()
-	if c.Transfers() != 0 || c.BusyFactor(time.Second) != 0 {
-		t.Error("reset did not clear state")
-	}
-}

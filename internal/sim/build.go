@@ -80,6 +80,29 @@ func BuildShared(dev *device.Device, specs []Spec, slots int) (Platform, error) 
 	return plat, nil
 }
 
+// SingleSlot is the platform on which every spec time-multiplexes one slot
+// of the given size, each load moving loadBytes over the ICAP. Context
+// saves and restores are priced as whole-slot transfers of the same volume.
+// It is the shape of the two §I comparison points: the full-reconfiguration
+// baseline (BuildFullReconfig) and an oversized shared PRR, whose loadBytes
+// is the bitstream size of the inflated organization.
+func SingleSlot(name string, tiles, loadBytes int, specs []Spec) Platform {
+	plat := Platform{
+		PRRs: []PRR{{Name: name, Tiles: tiles, LoadBytes: loadBytes, SaveBytes: loadBytes, RestoreBytes: loadBytes}},
+		PRMs: make([]PRM, len(specs)),
+	}
+	for i, sp := range specs {
+		plat.PRMs[i] = PRM{Name: sp.Name, Compat: []int{0}}
+	}
+	return plat
+}
+
+// BuildFullReconfig is the §I non-PR baseline: one slot spanning the whole
+// device, so every task switch reloads the full configuration bitstream.
+func BuildFullReconfig(dev *device.Device, specs []Spec) Platform {
+	return SingleSlot("device", dev.Fabric.Rows*dev.Fabric.NumColumns(), dev.FullBitstreamBytes(), specs)
+}
+
 // platformCache memoizes BuildGroups per front organization so the k
 // policies scoring one organization share a single platform build, even
 // when different workers pick up the organization's runs. The sync.Once per

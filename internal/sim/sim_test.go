@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dse"
+	"repro/internal/icap"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -253,7 +255,7 @@ func TestOversizePRM(t *testing.T) {
 	}
 
 	// And a module larger than the device makes BuildShared fail with the
-	// cost models' own infeasibility, like oversize.go's sweeps.
+	// cost models' own infeasibility.
 	dev, err := device.Lookup("XC6VLX75T")
 	if err != nil {
 		t.Fatal(err)
@@ -615,5 +617,113 @@ func TestCoExploreScoreStopsParallelSweep(t *testing.T) {
 	}
 	if len(scores) < 2 {
 		t.Fatalf("want at least the 2 scored runs back, got %d", len(scores))
+	}
+}
+
+// paperSpecs returns the paper's three PRMs with their Table V requirements
+// on devName.
+func paperSpecs(t *testing.T, devName string) (*device.Device, []Spec) {
+	t.Helper()
+	dev, err := device.Lookup(devName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []Spec
+	for _, prm := range []string{"FIR", "MIPS", "SDRAM"} {
+		row, ok := core.PaperTableVRow(prm, devName)
+		if !ok {
+			t.Fatalf("no Table V row for %s/%s", prm, devName)
+		}
+		specs = append(specs, Spec{Name: prm, Req: row.Req})
+	}
+	return dev, specs
+}
+
+// roundRobin emits n jobs cycling through nPRMs classes at a fixed gap —
+// the worst case for reconfiguration churn.
+func roundRobin(nPRMs, n int, gap, exec time.Duration) []Job {
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = Job{ID: i, PRM: i % nPRMs, Arrival: time.Duration(i) * gap, Exec: exec}
+	}
+	return jobs
+}
+
+// runFCFS replays jobs on plat under FCFSBestFit with the ICAP-32/DDR
+// estimator the paper-scale examples use.
+func runFCFS(t *testing.T, plat Platform, jobs []Job) Result {
+	t.Helper()
+	res, err := Run(context.Background(), Config{
+		Platform:  plat,
+		Policy:    FCFSBestFit{},
+		Estimator: icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM},
+	}, jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != len(jobs) {
+		t.Fatalf("completed %d of %d jobs", res.Completed, len(jobs))
+	}
+	return res
+}
+
+// TestPRSystemBuilds places the paper's three PRMs as disjoint PRRs on the
+// LX110T and runs a workload: each dedicated PRR loads its module exactly
+// once.
+func TestPRSystemBuilds(t *testing.T) {
+	dev, specs := paperSpecs(t, "XC5VLX110T")
+	pr, err := BuildGroups(dev, specs, [][]int{{0}, {1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.PRRs) != 3 {
+		t.Fatalf("PRRs = %d, want 3", len(pr.PRRs))
+	}
+	res := runFCFS(t, pr, roundRobin(len(specs), 60, 100*time.Microsecond, 500*time.Microsecond))
+	if res.Reconfigs != 3 {
+		t.Errorf("dedicated PRRs: %d reconfigs, want 3 (one first load per PRR)", res.Reconfigs)
+	}
+	if res.MakespanNS <= 0 {
+		t.Errorf("degenerate makespan %d", res.MakespanNS)
+	}
+}
+
+// TestPRBeatsFullReconfiguration: with right-sized dedicated PRRs, the PR
+// system outperforms the full-reconfiguration baseline — the paper's core
+// premise.
+func TestPRBeatsFullReconfiguration(t *testing.T) {
+	dev, specs := paperSpecs(t, "XC5VLX110T")
+	jobs := roundRobin(len(specs), 90, 50*time.Microsecond, 500*time.Microsecond)
+
+	pr, err := BuildGroups(dev, specs, [][]int{{0}, {1}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := BuildFullReconfig(dev, specs)
+	if len(full.PRRs) != 1 || full.PRRs[0].LoadBytes != dev.FullBitstreamBytes() {
+		t.Fatalf("full-reconfiguration platform %+v, want one slot loading %d bytes", full.PRRs, dev.FullBitstreamBytes())
+	}
+	prRes := runFCFS(t, pr, jobs)
+	fullRes := runFCFS(t, full, jobs)
+	if prRes.MakespanNS >= fullRes.MakespanNS {
+		t.Errorf("PR makespan %v should beat full reconfiguration %v",
+			time.Duration(prRes.MakespanNS), time.Duration(fullRes.MakespanNS))
+	}
+	if fullRes.Reconfigs <= prRes.Reconfigs {
+		t.Errorf("full-reconfig system should reconfigure more: %d vs %d", fullRes.Reconfigs, prRes.Reconfigs)
+	}
+}
+
+// TestSharedPRRChurn: one shared PRR time-multiplexing all PRMs reconfigures
+// on every job of a round-robin workload.
+func TestSharedPRRChurn(t *testing.T) {
+	dev, specs := paperSpecs(t, "XC6VLX75T")
+	one, err := BuildShared(dev, specs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runFCFS(t, one, roundRobin(len(specs), 30, time.Millisecond, 500*time.Microsecond))
+	if res.Reconfigs != 30 {
+		t.Errorf("single shared PRR: %d reconfigs for 30 round-robin jobs, want 30", res.Reconfigs)
 	}
 }
