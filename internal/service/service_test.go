@@ -592,38 +592,58 @@ func TestExploreClientDisconnectCancels(t *testing.T) {
 }
 
 // TestShutdownCancelsStragglingStreams: a graceful shutdown whose budget
-// expires cuts live explore streams loose instead of hanging.
+// expires cuts live explore and simulate streams loose instead of hanging.
 func TestShutdownCancelsStragglingStreams(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	streamDone := make(chan error, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/explore", "application/json",
-			strings.NewReader(`{"device":"XC6VLX75T","synthetic_n":11}`))
-		if err != nil {
-			streamDone <- err
-			return
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		streamDone <- nil
-	}()
-	waitCounter(t, s.met.exploreStreams, 1)
+	for _, tc := range []struct {
+		name, path, body   string
+		streams, cancelled func(*Server) *obs.Counter
+	}{
+		{
+			name: "explore", path: "/v1/explore",
+			body:      `{"device":"XC6VLX75T","synthetic_n":11}`,
+			streams:   func(s *Server) *obs.Counter { return s.met.exploreStreams },
+			cancelled: func(s *Server) *obs.Counter { return s.met.exploreCancelled },
+		},
+		{
+			name: "simulate", path: "/v1/simulate",
+			body: `{"device":"XC6VLX75T","synthetic_n":3,
+				"mix":{"jobs":1000000,"seed":3,"mean_exec_us":400,"mean_gap_us":300},"snapshot_every":100}`,
+			streams:   func(s *Server) *obs.Counter { return s.met.simStreams },
+			cancelled: func(s *Server) *obs.Counter { return s.met.simCancelled },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			streamDone := make(chan error, 1)
+			go func() {
+				resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+				if err != nil {
+					streamDone <- err
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				streamDone <- nil
+			}()
+			waitCounter(t, tc.streams(s), 1)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	t0 := time.Now()
-	err := s.Shutdown(ctx) // handler-only mode: drains streamWG
-	if err != context.DeadlineExceeded {
-		t.Errorf("Shutdown = %v, want context.DeadlineExceeded (stream outlives the budget)", err)
-	}
-	if d := time.Since(t0); d > 2*time.Second {
-		t.Errorf("Shutdown took %v despite a 50ms budget", d)
-	}
-	if err := <-streamDone; err != nil {
-		t.Errorf("stream errored: %v", err)
-	}
-	if s.met.exploreCancelled.Value() != 1 {
-		t.Errorf("cancelled streams = %d, want 1", s.met.exploreCancelled.Value())
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			t0 := time.Now()
+			err := s.Shutdown(ctx) // handler-only mode: drains the stream registry
+			if err != context.DeadlineExceeded {
+				t.Errorf("Shutdown = %v, want context.DeadlineExceeded (stream outlives the budget)", err)
+			}
+			if d := time.Since(t0); d > 2*time.Second {
+				t.Errorf("Shutdown took %v despite a 50ms budget", d)
+			}
+			if err := <-streamDone; err != nil {
+				t.Errorf("stream errored: %v", err)
+			}
+			if got := tc.cancelled(s).Value(); got != 1 {
+				t.Errorf("cancelled streams = %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -750,30 +770,50 @@ func TestTracePropagationAndAccessLog(t *testing.T) {
 	}
 }
 
-// TestDrainRefusalLogged: once a drain has begun, a new explore request is
-// refused with 503, still carries X-Request-ID, and is access-logged with
-// shed="draining".
+// TestDrainRefusalLogged: once a drain has begun, every new explore or
+// simulate request — streamed or cached — is refused with 503, still carries
+// X-Request-ID, and is access-logged with shed="draining". Batch endpoints
+// are not drain-gated: a PRR batch is still answered.
 func TestDrainRefusalLogged(t *testing.T) {
-	var buf logBuf
-	al := obs.NewAccessLog(&buf)
-	s, ts := newTestServer(t, Config{AccessLog: al})
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatalf("idle Shutdown: %v", err)
-	}
-	resp, _ := post(t, ts, "/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3}`)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("explore during drain: status %d, want 503", resp.StatusCode)
-	}
-	if id := resp.Header.Get("X-Request-ID"); len(id) != 32 {
-		t.Errorf("drain refusal X-Request-ID = %q, want a 32-hex trace ID", id)
-	}
-	waitLines(t, al, 1)
-	var rec obs.AccessRecord
-	if err := json.Unmarshal([]byte(buf.lines()[0]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Shed != "draining" || rec.Status != http.StatusServiceUnavailable {
-		t.Errorf("drain refusal logged as %+v, want shed=draining status=503", rec)
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+		shed             string
+	}{
+		{"explore stream", "/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3}`,
+			http.StatusServiceUnavailable, "draining"},
+		{"explore front", "/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3,"front_only":true}`,
+			http.StatusServiceUnavailable, "draining"},
+		{"simulate stream", "/v1/simulate", `{"device":"XC6VLX75T","synthetic_n":3,"mix":{"jobs":20,"seed":1}}`,
+			http.StatusServiceUnavailable, "draining"},
+		{"simulate summary", "/v1/simulate", `{"device":"XC6VLX75T","synthetic_n":3,"summary_only":true,"mix":{"jobs":20,"seed":1}}`,
+			http.StatusServiceUnavailable, "draining"},
+		{"prr batch", "/v1/prr", `{"device":"XC6VLX75T","prms":[{"req":{"luts":500,"ffs":400}}]}`,
+			http.StatusOK, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf logBuf
+			al := obs.NewAccessLog(&buf)
+			s, ts := newTestServer(t, Config{AccessLog: al})
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatalf("idle Shutdown: %v", err)
+			}
+			resp, raw := post(t, ts, tc.path, tc.body)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("%s during drain: status %d, want %d: %s", tc.path, resp.StatusCode, tc.status, raw)
+			}
+			if id := resp.Header.Get("X-Request-ID"); len(id) != 32 {
+				t.Errorf("X-Request-ID = %q, want a 32-hex trace ID", id)
+			}
+			waitLines(t, al, 1)
+			var rec obs.AccessRecord
+			if err := json.Unmarshal([]byte(buf.lines()[0]), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Shed != tc.shed || rec.Status != tc.status {
+				t.Errorf("logged as %+v, want shed=%q status=%d", rec, tc.shed, tc.status)
+			}
+		})
 	}
 }
 
