@@ -250,45 +250,9 @@ func (c *Client) Explore(ctx context.Context, req *api.ExploreRequest, visit fun
 	} else {
 		span.SetAttr("prms", len(req.PRMs))
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(ctx, span, http.MethodPost, "/v1/explore", body)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-
-	points := 0
-	defer func() { span.SetAttr("points", points) }()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20) // fronts can be wide
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var ev api.ExploreEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("client: decoding stream line: %w", err)
-		}
-		switch {
-		case ev.Error != "":
-			return nil, fmt.Errorf("client: explore failed: %s", ev.Error)
-		case ev.Done != nil:
-			return ev.Done, nil
-		case ev.Point != nil:
-			points++
-			if visit != nil && !visit(*ev.Point) {
-				return nil, fmt.Errorf("client: explore abandoned by visitor")
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("client: explore stream: %w", err)
-	}
-	return nil, fmt.Errorf("client: explore stream ended without a done event (cancelled?)")
+	return readStream(c, ctx, span, "explore", "points", req,
+		func(ev *api.ExploreEvent) (string, *api.ExploreDone, bool) { return ev.Error, ev.Done, ev.Point != nil },
+		func(ev *api.ExploreEvent) bool { return visit == nil || visit(*ev.Point) })
 }
 
 // Simulate opens the NDJSON simulation stream, calling visit for every
@@ -306,43 +270,57 @@ func (c *Client) Simulate(ctx context.Context, req *api.SimulateRequest, visit f
 	} else {
 		span.SetAttr("prms", len(req.PRMs))
 	}
+	return readStream(c, ctx, span, "simulate", "events", req,
+		func(ev *api.SimEvent) (string, *api.SimDone, bool) { return ev.Error, ev.Done, true },
+		func(ev *api.SimEvent) bool { return visit == nil || visit(*ev) })
+}
+
+// readStream posts req to /v1/<endpoint> and reads the NDJSON reply one
+// line at a time into a reused event E. split reports an event's terminal
+// error text, its Done payload D, and whether it is a progress event; a
+// progress event goes to visit (false abandons the stream) and is counted
+// into the span attribute named count. It returns the Done payload, or an
+// error naming endpoint — also when the stream ends without a Done event.
+func readStream[E, D any](c *Client, ctx context.Context, span *obs.Span, endpoint, count string, req any,
+	split func(*E) (errMsg string, done *D, progress bool), visit func(*E) bool) (*D, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(ctx, span, http.MethodPost, "/v1/simulate", body)
+	resp, err := c.do(ctx, span, http.MethodPost, "/v1/"+endpoint, body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 
-	events := 0
-	defer func() { span.SetAttr("events", events) }()
+	n := 0
+	defer func() { span.SetAttr(count, n) }()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 16<<20) // co-exploration Done lines can be wide
+	sc.Buffer(make([]byte, 64<<10), 16<<20) // fronts and co-exploration Done lines can be wide
+	var ev, zero E
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var ev api.SimEvent
+		ev = zero
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return nil, fmt.Errorf("client: decoding stream line: %w", err)
 		}
-		switch {
-		case ev.Error != "":
-			return nil, fmt.Errorf("client: simulate failed: %s", ev.Error)
-		case ev.Done != nil:
-			return ev.Done, nil
-		default:
-			events++
-			if visit != nil && !visit(ev) {
-				return nil, fmt.Errorf("client: simulate abandoned by visitor")
+		switch msg, done, progress := split(&ev); {
+		case msg != "":
+			return nil, fmt.Errorf("client: %s failed: %s", endpoint, msg)
+		case done != nil:
+			return done, nil
+		case progress:
+			n++
+			if !visit(&ev) {
+				return nil, fmt.Errorf("client: %s abandoned by visitor", endpoint)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("client: simulate stream: %w", err)
+		return nil, fmt.Errorf("client: %s stream: %w", endpoint, err)
 	}
-	return nil, fmt.Errorf("client: simulate stream ended without a done event (cancelled?)")
+	return nil, fmt.Errorf("client: %s stream ended without a done event (cancelled?)", endpoint)
 }

@@ -31,7 +31,9 @@ type AccessRecord struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Client is the caller identity admission control keyed on.
 	Client string `json:"client,omitempty"`
-	// Key is the canonical request key of batch endpoints (cache identity).
+	// Key is the canonical request key of the prr, bitstream, explore and
+	// simulate endpoints: the cache identity of cacheable requests, and the
+	// request identity of NDJSON streams.
 	Key string `json:"key,omitempty"`
 	// Cache is the response-cache verdict: "hit", "miss" or "" (uncached
 	// endpoint).

@@ -10,14 +10,20 @@
 //	POST /v1/prr       batch PRR size/organization estimates
 //	POST /v1/bitstream batch partial-bitstream costs
 //	POST /v1/explore   Pareto exploration, streamed as NDJSON
+//	POST /v1/simulate  multitasking simulation, streamed as NDJSON
 //	GET  /healthz      liveness
 //	GET  /metrics      Prometheus text (the process obs registry)
+//	GET  /debug/slo    rolling per-endpoint SLO standings
 //
-// The serving layer carries the scale machinery: identical in-flight batch
-// requests coalesce through singleflight on canonicalized request hashes
-// (api.CanonicalKey), responses land in a bounded sharded LRU keyed the same
-// way, and admission control (max in-flight plus a per-client token bucket)
+// Every request takes one of two paths. Cacheable requests — batches,
+// front-only explorations, summary-only simulations — go through cached:
+// identical in-flight requests coalesce through singleflight on
+// canonicalized request hashes (api.CanonicalKey) and responses land in a
+// bounded sharded LRU keyed the same way. Point and event streams go through
+// stream. Admission control (max in-flight plus a per-client token bucket)
 // sheds excess load with 429 + Retry-After before any model runs. Shutdown
-// drains: in-flight requests and explore streams finish within the caller's
-// grace context, then stragglers are cancelled.
+// drains: in-flight requests, explore streams and simulate runs finish
+// within the caller's grace context, then stragglers are cancelled; new
+// explore and simulate runs are refused with 503 while batches are still
+// answered.
 package service

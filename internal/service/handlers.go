@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dse"
+	"repro/internal/obs"
 	"repro/internal/service/api"
 )
 
@@ -32,7 +34,7 @@ func (s *Server) handlePRR(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveBatch(r.Context(), w, "prr", api.CanonicalKey("prr", &req), func() ([]byte, error) {
+	s.cached(w, r, "prr", contentJSON, api.CanonicalKey("prr", &req), func() ([]byte, error) {
 		resp := api.PRRResponse{Device: dev.Name, Results: make([]api.PRRResult, len(req.PRMs))}
 		m := core.NewPRRModel(dev)
 		for i, prm := range req.PRMs {
@@ -66,7 +68,7 @@ func (s *Server) handleBitstream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveBatch(r.Context(), w, "bitstream", api.CanonicalKey("bitstream", &req), func() ([]byte, error) {
+	s.cached(w, r, "bitstream", contentJSON, api.CanonicalKey("bitstream", &req), func() ([]byte, error) {
 		resp := api.BitstreamResponse{Device: dev.Name, Results: make([]api.BitstreamResult, len(req.Items))}
 		bit := core.NewBitstreamModel(dev.Params)
 		for i, item := range req.Items {
@@ -112,15 +114,18 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, req any, validate func(
 	return dev, true
 }
 
-// serveBatch is the shared cache + singleflight path of the batch endpoints:
-// answer from the LRU when the canonical key hits, otherwise coalesce
-// identical in-flight computations and cache the winner's response.
-func (s *Server) serveBatch(ctx context.Context, w http.ResponseWriter, endpoint, key string, compute func() ([]byte, error)) {
-	annotations(ctx).key = key
+// cached answers a cacheable request — a pure function of its canonical
+// key — from the response cache, or else computes it once for every
+// identical in-flight request (singleflight) and caches the result; X-Cache
+// tells which. A compute refused by a drain returns errDraining and is
+// answered 503 (logged as shed=draining); any other error is a 500.
+func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint, contentType, key string, compute func() ([]byte, error)) {
+	ann := annotations(r.Context())
+	ann.key = key
 	if resp, ok := s.cache.Get(key); ok {
 		s.met.cacheHits.Inc()
 		w.Header().Set("X-Cache", "hit")
-		writeRawJSON(w, resp)
+		writeRaw(w, contentType, resp)
 		return
 	}
 	s.met.cacheMisses.Inc()
@@ -141,19 +146,106 @@ func (s *Server) serveBatch(ctx context.Context, w http.ResponseWriter, endpoint
 	if shared {
 		s.met.coalesced.Inc()
 	}
-	if err != nil {
+	switch {
+	case err == errDraining:
+		ann.shed = "draining"
+		httpErr(w, http.StatusServiceUnavailable, "shutting down")
+	case err != nil:
 		httpErr(w, http.StatusInternalServerError, err.Error())
-		return
+	default:
+		w.Header().Set("X-Cache", "miss")
+		writeRaw(w, contentType, resp)
 	}
-	w.Header().Set("X-Cache", "miss")
-	writeRawJSON(w, resp)
 }
 
-// handleExplore streams a branch-and-bound exploration as NDJSON: one Point
+// errDraining marks cacheable runs refused by a shutdown drain.
+var errDraining = errors.New("service: draining")
+
+// drainable is the compute of a cacheable explore or simulate request: it
+// runs the engine as a registered stream, so a drain refuses it up front
+// (errDraining) and otherwise waits for it. Batch computes skip it and are
+// never drain-gated. The engine runs under the drain context rather than the
+// first caller's request context: coalesced followers and future cache hits
+// outlive that caller, so only a forced shutdown cancels the shared run. run
+// returns the terminal event (ignored on error), served as one NDJSON line.
+func (s *Server) drainable(streams, cancelled *obs.Counter, run func(ctx context.Context) (any, error)) ([]byte, error) {
+	if !s.registerStream() {
+		return nil, errDraining
+	}
+	defer s.unregisterStream()
+	streams.Inc()
+	ev, err := run(s.drainCtx)
+	if err != nil {
+		cancelled.Inc()
+		return nil, err
+	}
+	out, err := json.Marshal(ev)
+	return append(out, '\n'), err
+}
+
+// stream serves an NDJSON event stream. It admits the stream unless a drain
+// has begun (503), records key for the access log, and calls run under a
+// context that a client disconnect, a failed write or a forced shutdown
+// cancels. emit writes one event line, flushing the first and then every
+// flushEvery-th so clients see liveness without a syscall per line. run
+// returns the terminal event: Done on success; on an engine error, the event
+// reporting it to a still-connected client, or nil for none. Mid-stream
+// there is no status code left to change, so a cancelled stream just ends
+// without a terminal line.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string, flushEvery int,
+	streams, cancelled *obs.Counter, run func(ctx context.Context, emit func(ev any) bool) (any, error)) {
+	if !s.registerStream() {
+		annotations(r.Context()).shed = "draining"
+		httpErr(w, http.StatusServiceUnavailable, "shutting down")
+		return
+	}
+	defer s.unregisterStream()
+	streams.Inc()
+	annotations(r.Context()).key = key
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	// A forced shutdown cuts this stream loose mid-run.
+	defer context.AfterFunc(s.drainCtx, cancel)()
+
+	w.Header().Set("Content-Type", contentNDJSON)
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+	enc := json.NewEncoder(w)
+	sent := 0
+	last, err := run(ctx, func(ev any) bool {
+		if ctx.Err() != nil {
+			return false
+		}
+		if enc.Encode(ev) != nil {
+			cancel() // the client is gone; stop the engine
+			return false
+		}
+		if sent++; sent == 1 || sent%flushEvery == 0 {
+			flush()
+		}
+		return true
+	})
+	if err != nil || ctx.Err() != nil {
+		cancelled.Inc()
+		if last == nil || ctx.Err() != nil {
+			return
+		}
+	}
+	_ = enc.Encode(last)
+	flush()
+}
+
+// handleExplore serves a branch-and-bound exploration as NDJSON: one Point
 // event per priced design point (unless front_only), then a Done event with
-// the exact Pareto front and engine statistics. The stream follows the
-// request context — a client disconnect cancels the engine within a few
-// hundred tree nodes — and participates in graceful drain.
+// the exact Pareto front and engine statistics. Front-only explorations are
+// pure request-to-front functions and take the cached path; point streams
+// follow the request context — a client disconnect cancels the engine
+// within a few hundred tree nodes. Both participate in graceful drain.
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var raw api.ExploreRequest
 	dev, ok := decodeBatch(w, r, &raw, func() (string, error) { return raw.Device, raw.Validate() })
@@ -173,177 +265,90 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			prms = append(prms, dse.PRM{Name: p.Name, Req: p.Req.Core()})
 		}
 	}
-
-	workers := req.Options.Workers
-	if workers <= 0 {
-		workers = s.cfg.ExploreWorkers
-	}
 	e := &dse.Explorer{Device: dev, Estimator: s.estimator}
-	opts := dse.BBOptions{
-		Workers:         workers,
-		DominancePrune:  !req.Options.DisableDominancePrune,
-		DisableFitPrune: req.Options.DisableFitPrune,
-	}
-	if req.Options.Symmetry == "off" {
-		opts.Symmetry = dse.SymmetryOff
-	}
-	if req.Options.Memo == "off" {
-		opts.Memo = dse.MemoOff
-	}
+	opts := s.bbOptions(req.Options)
+	key := api.CanonicalKey("explore", req)
 
 	if req.FrontOnly {
-		// Front-only explorations are pure request-to-front functions, so
-		// they share the batch endpoints' cache + singleflight machinery.
-		s.serveExploreFront(r.Context(), w, req, e, prms, opts)
+		s.cached(w, r, "explore", contentNDJSON, key, func() ([]byte, error) {
+			return s.drainable(s.met.exploreStreams, s.met.exploreCancelled, func(ctx context.Context) (any, error) {
+				front, stats, err := e.ExploreParetoBB(ctx, prms, opts)
+				return api.ExploreEvent{Done: wireDone(prms, front, stats)}, err
+			})
+		})
 		return
 	}
-
-	if !s.registerStream() {
-		annotations(r.Context()).shed = "draining"
-		httpErr(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	defer s.unregisterStream()
-	s.met.exploreStreams.Inc()
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	// A forced shutdown cuts this stream loose mid-run.
-	stopDrain := context.AfterFunc(s.drainCtx, cancel)
-	defer stopDrain()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
+	// Flush the first point promptly, then in batches of 256 to keep
+	// syscalls off the hot path.
+	s.stream(w, r, key, 256, s.met.exploreStreams, s.met.exploreCancelled, func(ctx context.Context, emit func(any) bool) (any, error) {
+		var points []dse.DesignPoint
+		stats, err := e.ExploreBB(ctx, prms, opts, func(dp dse.DesignPoint) bool {
+			if !emit(api.ExploreEvent{Point: wirePoint(prms, dp)}) {
+				return false
+			}
+			s.met.explorePoints.Inc()
+			points = append(points, dp)
+			return true
+		})
+		if err != nil || ctx.Err() != nil {
+			return nil, err
 		}
-	}
-	enc := json.NewEncoder(w)
-
-	var front, points []dse.DesignPoint
-	sent := 0
-	stats, err := e.ExploreBB(ctx, prms, opts, func(dp dse.DesignPoint) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		if encErr := enc.Encode(api.ExploreEvent{Point: wirePoint(prms, dp)}); encErr != nil {
-			// The client is gone; stop the engine.
-			cancel()
-			return false
-		}
-		s.met.explorePoints.Inc()
-		points = append(points, dp)
-		// Flush the first point promptly so clients see liveness, then
-		// in batches to keep syscalls off the hot path.
-		sent++
-		if sent == 1 || sent%256 == 0 {
-			flush()
-		}
-		return true
-	})
-	if err == nil && ctx.Err() == nil {
 		// With the symmetry collapse active the stream carries only fiber
 		// representatives; the Done front is always the full expansion, so
 		// both explore modes report element-for-element identical fronts.
-		front = dse.ExpandSymmetric(prms, dse.Pareto(points))
+		front := dse.ExpandSymmetric(prms, dse.Pareto(points))
 		stats.FrontSize = len(front)
-	}
-	if err != nil || ctx.Err() != nil {
-		s.met.exploreCancelled.Inc()
-		// Mid-stream there is no status code left to change; the truncated
-		// stream (no Done line) is the cancellation signal.
-		return
-	}
-
-	done := wireDone(prms, front, stats)
-	_ = enc.Encode(api.ExploreEvent{Done: done})
-	flush()
-}
-
-// serveExploreFront answers a front-only exploration through the response
-// cache and singleflight, keyed on the canonicalized request: permutations of
-// one PRM multiset hit the same entry. The engine runs under the drain
-// context rather than the first caller's request context — coalesced
-// followers and future cache hits outlive that caller, so a disconnect must
-// not cancel the shared computation; only a server drain does.
-func (s *Server) serveExploreFront(ctx context.Context, w http.ResponseWriter, req *api.ExploreRequest, e *dse.Explorer, prms []dse.PRM, opts dse.BBOptions) {
-	key := api.CanonicalKey("explore", req)
-	annotations(ctx).key = key
-	if resp, ok := s.cache.Get(key); ok {
-		s.met.cacheHits.Inc()
-		w.Header().Set("X-Cache", "hit")
-		writeNDJSON(w, resp)
-		return
-	}
-	s.met.cacheMisses.Inc()
-	resp, shared, err := s.flight.Do(key, func() ([]byte, error) {
-		if !s.registerStream() {
-			return nil, errDraining
-		}
-		defer s.unregisterStream()
-		s.met.exploreStreams.Inc()
-		if s.cfg.evalHook != nil {
-			s.cfg.evalHook("explore")
-		}
-		front, stats, err := e.ExploreParetoBB(s.drainCtx, prms, opts)
-		if err != nil {
-			s.met.exploreCancelled.Inc()
-			return nil, err
-		}
-		out, err := json.Marshal(api.ExploreEvent{Done: wireDone(prms, front, stats)})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, '\n')
-		if ev := s.cache.Put(key, out); ev > 0 {
-			s.met.cacheEvictions.Add(int64(ev))
-		}
-		s.met.cacheEntries.Set(int64(s.cache.Len()))
-		return out, nil
+		return api.ExploreEvent{Done: wireDone(prms, front, stats)}, nil
 	})
-	if shared {
-		s.met.coalesced.Inc()
-	}
-	switch {
-	case err == errDraining:
-		annotations(ctx).shed = "draining"
-		httpErr(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	case err != nil:
-		httpErr(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("X-Cache", "miss")
-	writeNDJSON(w, resp)
 }
 
-// errDraining marks front-only explorations refused by a shutdown drain.
-var errDraining = fmt.Errorf("service: draining")
+// bbOptions maps wire explore options onto engine options; explorations and
+// co-explorations share it, so both price the design space identically.
+func (s *Server) bbOptions(o api.ExploreOptions) dse.BBOptions {
+	workers := o.Workers
+	if workers <= 0 {
+		workers = s.cfg.ExploreWorkers
+	}
+	opts := dse.BBOptions{
+		Workers:         workers,
+		DominancePrune:  !o.DisableDominancePrune,
+		DisableFitPrune: o.DisableFitPrune,
+	}
+	if o.Symmetry == "off" {
+		opts.Symmetry = dse.SymmetryOff
+	}
+	if o.Memo == "off" {
+		opts.Memo = dse.MemoOff
+	}
+	return opts
+}
 
 // wireDone assembles the stream's terminal event from an expanded front and
 // the engine statistics.
 func wireDone(prms []dse.PRM, front []dse.DesignPoint, stats dse.BBStats) *api.ExploreDone {
-	done := &api.ExploreDone{
-		Front: make([]api.DesignPoint, len(front)),
-		Stats: api.ExploreStats{
-			Partitions:      stats.Partitions,
-			Evaluated:       stats.Evaluated,
-			PrunedFit:       stats.PrunedFit,
-			PrunedDominated: stats.PrunedDominated,
-			GroupPricings:   stats.GroupPricings,
-			FrontSize:       stats.FrontSize,
-			Classes:         stats.Classes,
-			OrbitsCollapsed: stats.CollapsedSymmetry,
-			MemoHits:        stats.MemoHits,
-			MemoMisses:      stats.MemoMisses,
-			MemoEntries:     stats.MemoEntries,
-		},
-	}
+	done := &api.ExploreDone{Front: make([]api.DesignPoint, len(front)), Stats: wireStats(stats)}
 	for i, dp := range front {
 		done.Front[i] = *wirePoint(prms, dp)
 	}
 	return done
+}
+
+// wireStats maps engine statistics onto the wire form that explore and
+// co-exploration Done events share.
+func wireStats(stats dse.BBStats) api.ExploreStats {
+	return api.ExploreStats{
+		Partitions:      stats.Partitions,
+		Evaluated:       stats.Evaluated,
+		PrunedFit:       stats.PrunedFit,
+		PrunedDominated: stats.PrunedDominated,
+		GroupPricings:   stats.GroupPricings,
+		FrontSize:       stats.FrontSize,
+		Classes:         stats.Classes,
+		OrbitsCollapsed: stats.CollapsedSymmetry,
+		MemoHits:        stats.MemoHits,
+		MemoMisses:      stats.MemoMisses,
+		MemoEntries:     stats.MemoEntries,
+	}
 }
 
 // wireOrg converts a model organization (with placement) to the wire form.
@@ -377,19 +382,20 @@ func wirePoint(prms []dse.PRM, dp dse.DesignPoint) *api.DesignPoint {
 	return out
 }
 
+// Response content types.
+const (
+	contentJSON   = "application/json"
+	contentNDJSON = "application/x-ndjson"
+)
+
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentJSON)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeRawJSON(w http.ResponseWriter, raw []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(raw)
-}
-
-// writeNDJSON writes a pre-marshaled event-stream body (front-only explore
-// responses are a single Done line, cacheable as bytes).
-func writeNDJSON(w http.ResponseWriter, raw []byte) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
+// writeRaw writes a pre-marshaled response body: a JSON batch response, or
+// the single Done line of a cached explore or simulate run.
+func writeRaw(w http.ResponseWriter, contentType string, raw []byte) {
+	w.Header().Set("Content-Type", contentType)
 	_, _ = w.Write(raw)
 }

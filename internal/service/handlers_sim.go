@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -13,13 +12,13 @@ import (
 	"repro/internal/sim"
 )
 
-// handleSimulate streams a multitasking simulation as NDJSON: progress
+// handleSimulate serves a multitasking simulation as NDJSON: progress
 // Snapshot events, Score events per finished co-exploration run, then a
 // Done event with the schedule-aware summary. The simulation is a pure
 // function of the request (virtual clock, seeded mix), so summary-only
-// responses share the batch endpoints' cache + singleflight; streams follow
-// the request context — a disconnect cancels the engine within ~1k events —
-// and participate in graceful drain.
+// responses take the cached path; streams follow the request context — a
+// disconnect cancels the engine within ~1k events. Both participate in
+// graceful drain.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req api.SimulateRequest
 	dev, ok := decodeBatch(w, r, &req, func() (string, error) { return req.Device, req.Validate() })
@@ -32,128 +31,35 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	key := api.CanonicalKey("simulate", &req)
 
 	if req.SummaryOnly {
-		s.serveSimSummary(r.Context(), w, &req, dev, specs, names, mix)
+		s.cached(w, r, "simulate", contentNDJSON, key, func() ([]byte, error) {
+			return s.drainable(s.met.simStreams, s.met.simCancelled, func(ctx context.Context) (any, error) {
+				done, err := s.runSimulate(ctx, dev, &req, specs, names, mix, nil)
+				return api.SimEvent{Done: done}, err
+			})
+		})
 		return
 	}
-
-	if !s.registerStream() {
-		annotations(r.Context()).shed = "draining"
-		httpErr(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	defer s.unregisterStream()
-	s.met.simStreams.Inc()
-	annotations(r.Context()).key = api.CanonicalKey("simulate", &req)
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	// A forced shutdown cuts this stream loose mid-run.
-	stopDrain := context.AfterFunc(s.drainCtx, cancel)
-	defer stopDrain()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	// Snapshots are sparse (bounded by MaxSimSnapshots), so every event
 	// line flushes: clients see liveness for the stream's whole life.
-	emit := func(ev api.SimEvent) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		if err := enc.Encode(ev); err != nil {
-			cancel() // client gone; stop the engine
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-
-	done, err := s.runSimulate(ctx, dev, &req, specs, names, mix, emit)
-	if err != nil || ctx.Err() != nil {
-		s.met.simCancelled.Inc()
-		if err != nil && ctx.Err() == nil {
+	s.stream(w, r, key, 1, s.met.simStreams, s.met.simCancelled, func(ctx context.Context, emit func(any) bool) (any, error) {
+		done, err := s.runSimulate(ctx, dev, &req, specs, names, mix, emit)
+		if err != nil {
 			// An engine error (not a disconnect) still has a live client:
 			// report it as the stream's terminal event.
-			_ = enc.Encode(api.SimEvent{Error: err.Error()})
-			if flusher != nil {
-				flusher.Flush()
-			}
+			return api.SimEvent{Error: err.Error()}, err
 		}
-		// On disconnect the truncated stream (no Done line) is the signal.
-		return
-	}
-	_ = enc.Encode(api.SimEvent{Done: done})
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// serveSimSummary answers a summary-only simulation through the response
-// cache and singleflight. Like front-only explorations, the engine runs
-// under the drain context: coalesced followers and future cache hits
-// outlive the first caller, so only a server drain cancels the computation.
-func (s *Server) serveSimSummary(ctx context.Context, w http.ResponseWriter, req *api.SimulateRequest,
-	dev *device.Device, specs []sim.Spec, names []string, mix sim.Mix) {
-
-	key := api.CanonicalKey("simulate", req)
-	annotations(ctx).key = key
-	if resp, ok := s.cache.Get(key); ok {
-		s.met.cacheHits.Inc()
-		w.Header().Set("X-Cache", "hit")
-		writeNDJSON(w, resp)
-		return
-	}
-	s.met.cacheMisses.Inc()
-	resp, shared, err := s.flight.Do(key, func() ([]byte, error) {
-		if !s.registerStream() {
-			return nil, errDraining
-		}
-		defer s.unregisterStream()
-		s.met.simStreams.Inc()
-		if s.cfg.evalHook != nil {
-			s.cfg.evalHook("simulate")
-		}
-		done, err := s.runSimulate(s.drainCtx, dev, req, specs, names, mix, nil)
-		if err != nil {
-			s.met.simCancelled.Inc()
-			return nil, err
-		}
-		out, err := json.Marshal(api.SimEvent{Done: done})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, '\n')
-		if ev := s.cache.Put(key, out); ev > 0 {
-			s.met.cacheEvictions.Add(int64(ev))
-		}
-		s.met.cacheEntries.Set(int64(s.cache.Len()))
-		return out, nil
+		return api.SimEvent{Done: done}, nil
 	})
-	if shared {
-		s.met.coalesced.Inc()
-	}
-	switch {
-	case err == errDraining:
-		annotations(ctx).shed = "draining"
-		httpErr(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	case err != nil:
-		httpErr(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("X-Cache", "miss")
-	writeNDJSON(w, resp)
 }
 
 // runSimulate executes the request — a single shared-platform run or a full
 // co-exploration — streaming events through emit (nil suppresses streaming)
 // and returning the terminal Done event.
 func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.SimulateRequest,
-	specs []sim.Spec, names []string, mix sim.Mix, emit func(api.SimEvent) bool) (*api.SimDone, error) {
+	specs []sim.Spec, names []string, mix sim.Mix, emit func(ev any) bool) (*api.SimDone, error) {
 
 	snapEvery := req.SnapshotEvery
 	if snapEvery == 0 {
@@ -248,28 +154,6 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 	return done, nil
 }
 
-// bbOptions maps wire explore options onto engine options, mirroring
-// handleExplore's mapping so co-explorations and explorations price the
-// design space identically.
-func (s *Server) bbOptions(o api.ExploreOptions) dse.BBOptions {
-	workers := o.Workers
-	if workers <= 0 {
-		workers = s.cfg.ExploreWorkers
-	}
-	opts := dse.BBOptions{
-		Workers:         workers,
-		DominancePrune:  !o.DisableDominancePrune,
-		DisableFitPrune: o.DisableFitPrune,
-	}
-	if o.Symmetry == "off" {
-		opts.Symmetry = dse.SymmetryOff
-	}
-	if o.Memo == "off" {
-		opts.Memo = dse.MemoOff
-	}
-	return opts
-}
-
 // simSpecs resolves the request's module set (explicit PRMs or the
 // deterministic synthetic workload) and the PRM names group lists use.
 func simSpecs(req *api.SimulateRequest) ([]sim.Spec, []string) {
@@ -308,9 +192,9 @@ func simMix(req *api.SimulateRequest, nPRMs int) (sim.Mix, error) {
 	}
 	// Surface generator-level complaints (weight arity and sign) as 400s
 	// before any stream starts.
-	if _, err := (sim.Mix{Jobs: 0, Seed: m.Seed, Arrival: m.Arrival, MeanGap: m.MeanGap,
-		MeanExec: m.MeanExec, Burst: m.Burst, Weights: m.Weights,
-		PriorityLevels: m.PriorityLevels}).Generate(nPRMs); err != nil {
+	probe := m
+	probe.Jobs = 0
+	if _, err := probe.Generate(nPRMs); err != nil {
 		return sim.Mix{}, err
 	}
 	return m, nil
@@ -345,21 +229,4 @@ func wireScore(names []string, sc sim.OrgScore) *api.SimScore {
 		out.Groups[g] = gn
 	}
 	return out
-}
-
-// wireStats mirrors handleExplore's stats mapping for co-exploration Done
-// events.
-func wireStats(stats dse.BBStats) api.ExploreStats {
-	return api.ExploreStats{
-		Partitions:      stats.Partitions,
-		Evaluated:       stats.Evaluated,
-		PrunedFit:       stats.PrunedFit,
-		PrunedDominated: stats.PrunedDominated,
-		GroupPricings:   stats.GroupPricings,
-		Classes:         stats.Classes,
-		OrbitsCollapsed: stats.CollapsedSymmetry,
-		MemoHits:        stats.MemoHits,
-		MemoMisses:      stats.MemoMisses,
-		MemoEntries:     stats.MemoEntries,
-	}
 }

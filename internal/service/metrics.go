@@ -42,9 +42,9 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		coalesced: reg.Counter("service_coalesced_total",
 			"requests that shared an identical in-flight evaluation (singleflight followers)"),
 		cacheHits: reg.Counter("service_cache_hits_total",
-			"batch responses served from the LRU response cache"),
+			"cacheable responses served from the LRU response cache"),
 		cacheMisses: reg.Counter("service_cache_misses_total",
-			"batch requests that missed the response cache"),
+			"cacheable requests that missed the response cache"),
 		cacheEvictions: reg.Counter("service_cache_evictions_total",
 			"response-cache entries evicted under the entry bound"),
 		cacheEntries: reg.Gauge("service_cache_entries",

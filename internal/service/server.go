@@ -52,7 +52,7 @@ type Config struct {
 	Objectives []obs.Objective
 
 	// now and evalHook are test seams: a fake clock for the rate limiter and
-	// a hook invoked before each cache-missed batch evaluation.
+	// a hook invoked before each cache-missed evaluation.
 	now      func() time.Time
 	evalHook func(endpoint string)
 }
@@ -86,22 +86,22 @@ type Server struct {
 	slo   *obs.SLOTracker
 	mux   *http.ServeMux
 	cache *lruCache
-	// flight coalesces identical in-flight batch evaluations.
+	// flight coalesces identical in-flight cacheable evaluations.
 	flight    *flightGroup
 	limiter   *rateLimiter
 	estimator icap.Estimator
 
 	inflightN atomic.Int64
-	// streamMu guards the explore-stream registry so handler-only shutdown
-	// (no net listener, e.g. under httptest) can drain live streams and
-	// refuse new ones. streamsIdle is non-nil while a drain waits and is
+	// streamMu guards the registry of explore and simulate runs — NDJSON
+	// streams and cacheable runs alike — so handler-only shutdown (no net
+	// listener, e.g. under httptest) can drain live runs and refuse new ones. streamsIdle is non-nil while a drain waits and is
 	// closed when streamN reaches zero.
 	streamMu    sync.Mutex
 	streamN     int
 	draining    bool
 	streamsIdle chan struct{}
 	// drainCtx is cancelled when a graceful shutdown gives up waiting,
-	// cutting in-flight explorations loose.
+	// cutting in-flight explorations and simulations loose.
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
 
@@ -203,10 +203,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // Shutdown drains the service: it stops accepting connections and waits for
-// in-flight requests — including NDJSON exploration streams — to finish. If
-// ctx expires first, remaining explorations are cancelled (they observe
-// their context within a few hundred tree nodes) and the server is closed
-// hard; the context's error is returned.
+// in-flight requests — including NDJSON explore and simulate streams — to
+// finish. If ctx expires first, remaining runs are cancelled (explorations
+// observe their context within a few hundred tree nodes, simulations within
+// ~1k events) and the server is closed hard; the context's error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	defer func() { _ = s.cfg.AccessLog.Flush() }()
 	if s.http != nil {
@@ -225,7 +225,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// registerStream admits one explore stream, unless a drain has begun.
+// registerStream admits one explore or simulate run (a stream or a cacheable
+// run), unless a drain has begun.
 func (s *Server) registerStream() bool {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
@@ -246,9 +247,9 @@ func (s *Server) unregisterStream() {
 	s.streamMu.Unlock()
 }
 
-// drainStreams refuses new explore streams and waits for live ones. When ctx
-// expires first, the stragglers are cancelled and awaited; ctx's error is
-// returned.
+// drainStreams refuses new explore and simulate runs and waits for live ones.
+// When ctx expires first, the stragglers are cancelled and awaited; ctx's
+// error is returned.
 func (s *Server) drainStreams(ctx context.Context) error {
 	s.streamMu.Lock()
 	s.draining = true
@@ -271,7 +272,8 @@ func (s *Server) drainStreams(ctx context.Context) error {
 	}
 }
 
-// Close stops the server immediately, cancelling in-flight explorations.
+// Close stops the server immediately, cancelling in-flight explorations and
+// simulations.
 func (s *Server) Close() error {
 	s.drainCancel()
 	defer func() { _ = s.cfg.AccessLog.Flush() }()
@@ -442,7 +444,7 @@ func shed(w http.ResponseWriter, retry time.Duration) {
 
 // httpErr writes the JSON error body every non-2xx response carries.
 func httpErr(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentJSON)
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }

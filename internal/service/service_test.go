@@ -817,6 +817,32 @@ func TestDrainRefusalLogged(t *testing.T) {
 	}
 }
 
+// TestStreamedExploreLogsKey: a streamed explore is access-logged with its
+// canonical request key, as streamed simulations and every cached request
+// are.
+func TestStreamedExploreLogsKey(t *testing.T) {
+	var buf logBuf
+	al := obs.NewAccessLog(&buf)
+	_, ts := newTestServer(t, Config{AccessLog: al})
+	body := `{"device":"XC6VLX75T","synthetic_n":4}`
+	resp, raw := post(t, ts, "/v1/explore", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	waitLines(t, al, 1)
+	var rec obs.AccessRecord
+	if err := json.Unmarshal([]byte(buf.lines()[0]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	var req api.ExploreRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	if want := api.CanonicalKey("explore", &req); rec.Key != want {
+		t.Errorf("streamed explore logged key %q, want %q", rec.Key, want)
+	}
+}
+
 // TestDebugSLO: /debug/slo serves the rolling standings — declared endpoints
 // appear even before traffic, served traffic lands in its endpoint's window,
 // and the payload validates against the summary schema.
