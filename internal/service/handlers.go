@@ -147,7 +147,7 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint, conten
 		s.met.coalesced.Inc()
 	}
 	switch {
-	case err == errDraining:
+	case errors.Is(err, errDraining):
 		ann.shed = "draining"
 		httpErr(w, http.StatusServiceUnavailable, "shutting down")
 	case err != nil:

@@ -47,8 +47,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.stream(w, r, key, 1, s.met.simStreams, s.met.simCancelled, func(ctx context.Context, emit func(any) bool) (any, error) {
 		done, err := s.runSimulate(ctx, dev, &req, specs, names, mix, emit)
 		if err != nil {
-			// An engine error (not a disconnect) still has a live client:
-			// report it as the stream's terminal event.
+			// Report an engine error to a still-connected client as the
+			// stream's terminal event; stream drops it after a disconnect.
 			return api.SimEvent{Error: err.Error()}, err
 		}
 		return api.SimEvent{Done: done}, nil

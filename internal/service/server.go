@@ -94,8 +94,9 @@ type Server struct {
 	inflightN atomic.Int64
 	// streamMu guards the registry of explore and simulate runs — NDJSON
 	// streams and cacheable runs alike — so handler-only shutdown (no net
-	// listener, e.g. under httptest) can drain live runs and refuse new ones. streamsIdle is non-nil while a drain waits and is
-	// closed when streamN reaches zero.
+	// listener, e.g. under httptest) can drain live runs and refuse new
+	// ones. streamsIdle is non-nil while a drain waits and is closed when
+	// streamN reaches zero.
 	streamMu    sync.Mutex
 	streamN     int
 	draining    bool
