@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/dse"
 	"repro/internal/obs"
 	"repro/internal/obscli"
 	"repro/internal/report"
@@ -179,7 +180,10 @@ func runSingle(ctx context.Context, dev *device.Device, specs []sim.Spec, mix si
 func runCoExplore(ctx context.Context, dev *device.Device, specs []sim.Spec, mix sim.Mix,
 	policyList string, workers, snapEvery int, rep *report.SimRun) {
 
-	cfg := sim.CoExploreConfig{Mix: mix, SnapshotEvery: snapEvery, Workers: workers}
+	// Dominance pruning as costd sets it: the front is the same either way,
+	// the walk just skips strictly dominated subtrees.
+	cfg := sim.CoExploreConfig{Mix: mix, SnapshotEvery: snapEvery, Workers: workers,
+		BB: dse.BBOptions{DominancePrune: true}}
 	if policyList != "" {
 		for _, name := range strings.Split(policyList, ",") {
 			p, err := sim.PolicyByName(strings.TrimSpace(name))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +18,6 @@ import (
 type BBOptions struct {
 	// Workers caps the subtree worker goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// SplitDepth is how many leading RGS positions are expanded up front
-	// into independent subtree jobs; 0 picks the smallest depth that yields
-	// at least 4 jobs per worker.
-	SplitDepth int
 	// DominancePrune additionally skips subtrees whose objective lower
 	// bounds are strictly dominated by a front point (Pareto mode only).
 	// The front is unchanged: only strictly-dominated points are skipped.
@@ -36,6 +33,10 @@ type BBOptions struct {
 	// The default, MemoAuto, memoizes whenever two PRMs share a requirement
 	// signature; MemoOff prices every tree edge with the cost models.
 	Memo MemoMode
+	// splitDepth is the RGS depth at which the walk hands its subtrees to the
+	// workers; 0 picks autoSplitDepth. Only tests set it, to pin that the
+	// search counters do not depend on it.
+	splitDepth int
 }
 
 // BBStats reports what the branch-and-bound run did. Partitions always
@@ -61,16 +62,21 @@ type BBStats struct {
 	Classes int
 	// GroupPricings counts EstimateShared-equivalent group pricings — the
 	// engine's real work unit. ExploreAll prices every group of every
-	// partition; prefix sharing prices each tree edge once.
+	// partition; prefix sharing prices each tree edge once, at any split
+	// depth and worker count.
 	GroupPricings int64
-	// Subtrees is the number of parallel subtree jobs the run split into.
+	// Subtrees is the number of subtree jobs the walk handed to workers: the
+	// length-SplitDepth prefixes that survived the fit bound and the
+	// symmetry collapse.
 	Subtrees int
 	// SplitDepth is the RGS depth the jobs were split at.
 	SplitDepth int
 	// FrontSize is the final Pareto-front size (Pareto mode).
 	FrontSize int
-	// MaxResident is the peak number of design points held by the engine at
-	// any instant — O(front), where ExploreAll holds O(Bell(n)).
+	// MaxResident is the peak number of front points a one-worker walk holds:
+	// the maximum over jobs j of the final front sizes of jobs 0..j-1 plus
+	// job j's own peak. It is O(front), where ExploreAll holds O(Bell(n)),
+	// and it does not depend on how the workers interleave.
 	MaxResident int64
 	// MemoHits / MemoMisses count group-pricing memo lookups (0 with MemoOff
 	// or when every signature is distinct). Every tree edge does exactly one
@@ -99,14 +105,25 @@ type groupEval struct {
 	minCLB   float64
 }
 
-// bbJob is one subtree: a length-SplitDepth RGS prefix plus the enumeration
-// index of its first leaf, so streaming results keep the exact sequential
-// order no matter which worker runs them.
+// bbJob is one subtree handed to a worker: the walk's state at the split
+// depth, snapshotted by rec, so the worker resumes exactly where a sequential
+// walk would continue. seq is the enumeration index of the job's first leaf,
+// so results keep the sequential order whichever worker runs them, and
+// tiles/bytes/minRU are the running objective bounds rec carried down to it.
+// front is the job's own Pareto front, set by the worker in Pareto mode.
 type bbJob struct {
-	idx    int
-	prefix []int
-	used   int
-	base   uint64
+	members              [][]int
+	evals                []groupEval
+	placed               []floorplan.Region
+	firstBad             int
+	needLB               []floorplan.Need
+	tilesLB              []int
+	lastLabel            []int
+	pendLabel, pendClass int
+	seq                  uint64
+	tiles, bytes         int
+	minRU                float64
+	front                *ParetoFront
 }
 
 // bbRun is the per-exploration shared state.
@@ -132,32 +149,16 @@ type bbRun struct {
 	// evaluations across every subtree worker of this run (see memo.go).
 	memo *groupMemo
 
+	// jobCh carries the root walk's subtree jobs to the workers.
+	jobCh   chan *bbJob
 	ctx     context.Context
 	stop    atomic.Bool
 	visit   func(DesignPoint) bool
 	visitMu sync.Mutex
-
-	evaluated   atomic.Int64
-	prunedFit   atomic.Int64
-	prunedDom   atomic.Int64
-	collapsed   atomic.Int64
-	pricings    atomic.Int64
-	resident    atomic.Int64
-	maxResident atomic.Int64
 }
 
-// residentAdd tracks the engine's live design-point count and its peak.
-func (r *bbRun) residentAdd(d int64) {
-	now := r.resident.Add(d)
-	for {
-		peak := r.maxResident.Load()
-		if now <= peak || r.maxResident.CompareAndSwap(peak, now) {
-			return
-		}
-	}
-}
-
-// bbState is one worker's DFS state over a subtree. Pricing is incremental
+// bbState is one DFS walk's state: the root walk down to the split depth, or
+// a worker's walk over the subtree jobs it drains. Pricing is incremental
 // along the RGS prefix: each group's evaluation (region, tiles, bytes, RU)
 // lives on a per-group stack, and extending the partition only re-prices the
 // groups whose avoid set actually changed — appending a new group prices one
@@ -165,7 +166,6 @@ func (r *bbRun) residentAdd(d int64) {
 // allocation, no re-walk of the whole partition per leaf.
 type bbState struct {
 	run     *bbRun
-	rgs     []int
 	members [][]int
 	// evals/placed are the priced-group stack, valid for groups 0..k-1 when
 	// firstBad < 0, else for groups 0..firstBad (mirroring Evaluate, which
@@ -189,6 +189,13 @@ type bbState struct {
 	front *ParetoFront
 	seq   uint64
 	nodes int
+
+	// split is the depth at which this walk stops descending and hands the
+	// subtree to the workers instead; jobs keeps every job handed off, in
+	// enumeration order. Only the root walk sets split; workers leave it 0,
+	// a depth their resumed walks never revisit.
+	split int
+	jobs  []*bbJob
 
 	// Dominance-threshold cache: dominanceThreshold depends only on the front
 	// contents (version) and the node's (reconfig, minRU) bounds, which repeat
@@ -214,9 +221,46 @@ type bbState struct {
 	msc memoScratch
 	l1  *memoL1
 
-	// local counters, flushed into the run at job end
+	// local counters, summed into BBStats once every walk has finished
 	evaluated, prunedFit, prunedDom, collapsed, pricings int64
 	memoHits, memoMisses, memoEntries                    int64
+}
+
+// newBBState allocates a walk whose DFS state is preallocated at n×n scale,
+// so the walk itself never allocates: the members matrix, the priced-group
+// stacks, the bound stacks, and the per-depth save/restore rows (see rec).
+func newBBState(r *bbRun) *bbState {
+	n := r.n
+	s := &bbState{
+		run:           r,
+		members:       make([][]int, 0, n),
+		evals:         make([]groupEval, 0, n),
+		placed:        make([]floorplan.Region, 0, n),
+		firstBad:      -1,
+		needLB:        make([]floorplan.Need, 0, n),
+		tilesLB:       make([]int, 0, n),
+		lastLabel:     make([]int, r.classes),
+		pendLabel:     -1,
+		memBack:       make([]int, n*n),
+		saveEvalsBuf:  make([]groupEval, n*n),
+		savePlacedBuf: make([]floorplan.Region, n*n),
+	}
+	if r.memo != nil {
+		s.l1 = newMemoL1()
+	}
+	return s
+}
+
+// tally adds the walk's counters to st.
+func (s *bbState) tally(st *BBStats) {
+	st.Evaluated += s.evaluated
+	st.PrunedFit += s.prunedFit
+	st.PrunedDominated += s.prunedDom
+	st.CollapsedSymmetry += s.collapsed
+	st.GroupPricings += s.pricings
+	st.MemoHits += s.memoHits
+	st.MemoMisses += s.memoMisses
+	st.MemoEntries += s.memoEntries
 }
 
 // reprice re-derives the priced-group stack from group `from` on, stopping
@@ -336,11 +380,7 @@ func (s *bbState) leaf() bool {
 		// dominance reads only the objectives, so the front is unchanged.
 		if dp.Feasible && !s.front.Dominated(&dp) {
 			dp.Groups = copyGroups(s.members)
-			before := s.front.Len()
 			s.front.Add(dp, seq)
-			if d := int64(s.front.Len() - before); d != 0 {
-				r.residentAdd(d)
-			}
 		}
 		return true
 	}
@@ -365,6 +405,10 @@ func (s *bbState) rec(i int, tilesLB, bytesLB int, minRUub float64) bool {
 	s.nodes++
 	if s.nodes&255 == 0 && (r.ctx.Err() != nil || r.stop.Load()) {
 		return false
+	}
+	if i == s.split {
+		s.handOff(tilesLB, bytesLB, minRUub)
+		return true
 	}
 	if i == r.n {
 		return s.leaf()
@@ -459,7 +503,6 @@ func (s *bbState) rec(i int, tilesLB, bytesLB int, minRUub float64) bool {
 			}
 		}
 
-		s.rgs[i] = g
 		savedLast, savedPendL, savedPendC, savedFroze := 0, 0, 0, -1
 		if r.sym {
 			savedLast = s.lastLabel[ci]
@@ -531,125 +574,54 @@ func (s *bbState) rec(i int, tilesLB, bytesLB int, minRUub float64) bool {
 	return true
 }
 
-// runJob prices one subtree job: rebuild the prefix state, apply the same
-// bounds a sequential DFS would have applied above the split depth, then
-// recurse over the remaining positions.
-func (r *bbRun) runJob(j bbJob, fronts []*ParetoFront, l1 *memoL1) {
-	n := r.n
-	s := &bbState{run: r, rgs: make([]int, n), firstBad: -1, seq: j.base, l1: l1}
-	// All DFS state is preallocated at n×n scale so the walk itself never
-	// allocates: the members matrix, the priced-group stacks, the bound
-	// stacks, and the per-depth save/restore rows (see rec).
-	s.memBack = make([]int, n*n)
-	s.members = make([][]int, 0, n)
-	s.evals = make([]groupEval, 0, n)
-	s.placed = make([]floorplan.Region, 0, n)
-	s.needLB = make([]floorplan.Need, 0, n)
-	s.tilesLB = make([]int, 0, n)
-	s.saveEvalsBuf = make([]groupEval, n*n)
-	s.savePlacedBuf = make([]floorplan.Region, n*n)
-	if r.pareto {
-		s.front = &ParetoFront{}
-		fronts[j.idx] = s.front
+// handOff snapshots the walk at the split depth into a subtree job, sends it
+// to the workers and advances the enumeration index past the subtree's
+// leaves, as a pruned subtree would, so the next job's first leaf keeps its
+// sequential position.
+func (s *bbState) handOff(tilesLB, bytesLB int, minRUub float64) {
+	j := &bbJob{
+		members:   copyGroups(s.members),
+		evals:     slices.Clone(s.evals),
+		placed:    slices.Clone(s.placed),
+		firstBad:  s.firstBad,
+		needLB:    slices.Clone(s.needLB),
+		tilesLB:   slices.Clone(s.tilesLB),
+		lastLabel: slices.Clone(s.lastLabel),
+		pendLabel: s.pendLabel,
+		pendClass: s.pendClass,
+		seq:       s.seq,
+		tiles:     tilesLB,
+		bytes:     bytesLB,
+		minRU:     minRUub,
 	}
-	defer func() {
-		r.evaluated.Add(s.evaluated)
-		r.prunedFit.Add(s.prunedFit)
-		r.prunedDom.Add(s.prunedDom)
-		r.collapsed.Add(s.collapsed)
-		r.pricings.Add(s.pricings)
-		if r.memo != nil {
-			r.memo.stats.bulk(j.idx, s.memoHits, s.memoMisses, s.memoEntries)
-		}
-	}()
+	s.jobs = append(s.jobs, j)
+	s.run.jobCh <- j
+	s.seq += uint64(s.run.ext.leaves(s.run.n-s.split, len(s.members)))
+}
 
-	k := len(j.prefix)
-	copy(s.rgs, j.prefix)
-	for g := 0; g < j.used; g++ {
-		s.members = append(s.members, s.memBack[g*n:g*n:g*n+n])
+// runJob restores job j's snapshot into the worker's walk and resumes rec at
+// the split depth, against the job's own front.
+func (s *bbState) runJob(j *bbJob, depth int) {
+	n := s.run.n
+	s.members = s.members[:0]
+	for g, m := range j.members {
+		s.members = append(s.members, append(s.memBack[g*n:g*n:g*n+n], m...))
 	}
-	for i := 0; i < k; i++ {
-		g := j.prefix[i]
-		s.members[g] = append(s.members[g], i)
-	}
-	if r.sym {
-		// Rebuild the per-class symmetry floors over the prefix by replaying
-		// the reduction state machine (see mrgs.go). Jobs are cut from the
-		// full-space enumeration, so a prefix may itself be reducible — then
-		// every completion is a reducible fiber member and the whole subtree
-		// is charged to the collapse.
-		s.lastLabel = make([]int, r.classes)
-		s.pendLabel = -1
-		used := 0
-		for i := 0; i < k; i++ {
-			g := j.prefix[i]
-			c := r.classOf[i]
-			floor := s.lastLabel[c]
-			if s.pendClass == c && s.pendLabel > floor {
-				floor = s.pendLabel
-			}
-			if g < floor {
-				s.collapsed += r.ext.leaves(r.n-k, j.used)
-				return
-			}
-			if g < used {
-				if g == s.pendLabel {
-					if g > s.lastLabel[s.pendClass] {
-						s.lastLabel[s.pendClass] = g
-					}
-					s.pendLabel = -1
-				}
-				s.lastLabel[c] = g
-			} else {
-				used = g + 1
-				s.pendLabel, s.pendClass = g, c
-			}
-		}
-	} else {
-		s.pendLabel = -1
-	}
-	tilesSum, bytesMax, minRUub := 0, 0, 200.0
-	for g := range s.members {
-		s.needLB = append(s.needLB, groupNeedLB(r.bounds, s.members[g]))
-		t := 0
-		for _, m := range s.members[g] {
-			if r.bounds[m].minTiles > t {
-				t = r.bounds[m].minTiles
-			}
-		}
-		s.tilesLB = append(s.tilesLB, t)
-		tilesSum += t
-	}
-	for i := 0; i < k; i++ {
-		b := &r.bounds[i]
-		if b.minBytes > bytesMax {
-			bytesMax = b.minBytes
-		}
-		if b.maxRU < minRUub {
-			minRUub = b.maxRU
-		}
-	}
-	if r.fitPrune {
-		for i := 0; i < k; i++ {
-			if !r.bounds[i].feasible {
-				s.skip(r.ext.leaves(r.n-k, j.used), false, k)
-				return
-			}
-		}
-		for g := range s.members {
-			if !r.runIdx.CanHold(s.needLB[g]) {
-				s.skip(r.ext.leaves(r.n-k, j.used), false, k)
-				return
-			}
-		}
-	}
-	s.reprice(0)
-	s.rec(k, tilesSum, bytesMax, minRUub)
+	s.evals = append(s.evals[:0], j.evals...)
+	s.placed = append(s.placed[:0], j.placed...)
+	s.firstBad = j.firstBad
+	s.needLB = append(s.needLB[:0], j.needLB...)
+	s.tilesLB = append(s.tilesLB[:0], j.tilesLB...)
+	copy(s.lastLabel, j.lastLabel)
+	s.pendLabel, s.pendClass = j.pendLabel, j.pendClass
+	s.seq = j.seq
+	s.front, s.domReady = j.front, false
+	s.rec(depth, j.tiles, j.bytes, j.minRU)
 }
 
 // autoSplitDepth picks the shallowest split that still feeds the workers:
-// the smallest k with Bell(k) >= 4*workers, kept shallow so subtrees stay
-// deep enough to share prefix pricing.
+// the smallest k with Bell(k) >= 4*workers, kept shallow so each job's own
+// front prunes a deep subtree.
 func autoSplitDepth(n, workers int) int {
 	k := 1
 	for k < n-3 && bellNumber(k) < 4*workers {
@@ -685,7 +657,7 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	k := opts.SplitDepth
+	k := opts.splitDepth
 	if k <= 0 {
 		k = autoSplitDepth(n, workers)
 	}
@@ -724,37 +696,21 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 		run.memo = newGroupMemo()
 	}
 
-	var jobs []bbJob
-	var base uint64
-	forEachPartitionRGS(k, func(_ int, rgs []int) bool {
-		used := 0
-		for _, g := range rgs {
-			if g+1 > used {
-				used = g + 1
-			}
-		}
-		prefix := make([]int, k)
-		copy(prefix, rgs)
-		jobs = append(jobs, bbJob{idx: len(jobs), prefix: prefix, used: used, base: base})
-		base += uint64(run.ext.leaves(n-k, used))
-		return true
-	})
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	span.SetAttr("prms", n).SetAttr("subtrees", len(jobs)).SetAttr("split_depth", k).SetAttr("workers", workers)
-	metBBSubtrees.Add(int64(len(jobs)))
-
+	// The walk runs once, sequentially, down to depth k, pricing and
+	// charging every prefix there by the same rules as below it. Each
+	// surviving prefix becomes a job, handed to the workers as soon as it is
+	// cut, so the first subtree starts while the walk carves the rest.
 	start := time.Now()
-	fronts := make([]*ParetoFront, len(jobs))
-	jobCh := make(chan int, len(jobs))
-	for i := range jobs {
-		jobCh <- i
-	}
-	close(jobCh)
+	workers = min(workers, bellNumber(k))
+	run.jobCh = make(chan *bbJob)
+	walks := make([]*bbState, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := range walks {
+		// The walk, and its L1 memo view, lives for the worker's whole job
+		// stream, so entries learned in one subtree stay warm for the next.
+		s := newBBState(run)
+		walks[w] = s
 		go func() {
 			defer wg.Done()
 			// Each worker owns one child span of dse.bb covering the subtree
@@ -763,55 +719,57 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 			// must not be touched from here).
 			_, wspan := obs.StartSpan(ctx, "dse.bb.worker")
 			defer wspan.End()
-			// The L1 memo view lives for the worker's whole job stream, so
-			// entries learned in one subtree stay warm for the next.
-			var l1 *memoL1
-			if run.memo != nil {
-				l1 = newMemoL1()
-			}
 			done := 0
-			for ji := range jobCh {
+			for j := range run.jobCh {
 				if ctx.Err() != nil || run.stop.Load() {
 					continue
 				}
-				run.runJob(jobs[ji], fronts, l1)
+				if pareto {
+					j.front = &ParetoFront{}
+				}
+				s.runJob(j, k)
 				done++
 			}
 			wspan.SetAttr("subtree_jobs", done)
 		}()
 	}
+	root := newBBState(run)
+	root.split = k
+	root.rec(0, 0, 0, 200)
+	close(run.jobCh)
 	wg.Wait()
+	jobs := root.jobs
+	span.SetAttr("prms", n).SetAttr("subtrees", len(jobs)).SetAttr("split_depth", k).SetAttr("workers", workers)
+	metBBSubtrees.Add(int64(len(jobs)))
 
 	if err := ctx.Err(); err != nil {
 		span.SetAttr("cancelled", true)
 		return nil, stats, err
 	}
 
+	stats = BBStats{
+		Partitions: int64(bellNumber(n)),
+		Classes:    ct.classes(),
+		Subtrees:   len(jobs),
+		SplitDepth: k,
+	}
+	root.tally(&stats)
+	for _, s := range walks {
+		s.tally(&stats)
+	}
+	// Merging the job fronts in enumeration order is exact (see Merge). The
+	// resident peak is the one a single worker running the jobs in order
+	// would reach: every earlier job's final front plus this job's peak.
 	global := &ParetoFront{}
-	for _, f := range fronts {
+	var resident int64
+	for _, j := range jobs {
+		f := j.front
 		if f == nil {
 			continue
 		}
-		before := global.Len()
+		stats.MaxResident = max(stats.MaxResident, resident+int64(f.peak))
+		resident += int64(f.Len())
 		global.Merge(f)
-		run.residentAdd(int64(global.Len()-before) - int64(f.Len()))
-	}
-
-	stats = BBStats{
-		Partitions:        int64(bellNumber(n)),
-		Evaluated:         run.evaluated.Load(),
-		PrunedFit:         run.prunedFit.Load(),
-		PrunedDominated:   run.prunedDom.Load(),
-		CollapsedSymmetry: run.collapsed.Load(),
-		Classes:           ct.classes(),
-		GroupPricings:     run.pricings.Load(),
-		Subtrees:          len(jobs),
-		SplitDepth:        k,
-		FrontSize:         global.Len(),
-		MaxResident:       run.maxResident.Load(),
-	}
-	if run.memo != nil {
-		stats.MemoHits, stats.MemoMisses, stats.MemoEntries = run.memo.stats.snapshot()
 	}
 	var points []DesignPoint
 	if pareto {

@@ -33,8 +33,8 @@ func TestExploreParetoMatchesFlat(t *testing.T) {
 			for _, opts := range []BBOptions{
 				{},
 				{DominancePrune: true},
-				{DominancePrune: true, SplitDepth: 2},
-				{SplitDepth: 4, Workers: 3},
+				{DominancePrune: true, splitDepth: 2},
+				{splitDepth: 4, Workers: 3},
 			} {
 				got, stats, err := e.ExploreParetoBB(context.Background(), prms, opts)
 				if err != nil {
@@ -107,6 +107,66 @@ func TestExploreParetoConstrained(t *testing.T) {
 	t.Logf("constrained n=%d: %d partitions, %d evaluated, %d fit-pruned, %d dominance-pruned, %d pricings, front %d, resident peak %d",
 		n, stats.Partitions, stats.Evaluated, stats.PrunedFit, stats.PrunedDominated,
 		stats.GroupPricings, stats.FrontSize, stats.MaxResident)
+}
+
+// TestBBStatsIndependentOfSplit: the search counters describe the search,
+// not how it was carved into subtree jobs. The walk prices and charges every
+// prefix once, by the same rules at every depth, so Evaluated, PrunedFit,
+// CollapsedSymmetry and GroupPricings are identical at every split depth and
+// worker count. The Pareto engine's dominance counters follow each job's own
+// front, so there only the front and the partition sum are checked.
+func TestBBStatsIndependentOfSplit(t *testing.T) {
+	repro := ConstrainedPRMs(7)
+	repro[2].Req, repro[3].Req = repro[0].Req, repro[0].Req
+	dup := ConstrainedPRMs(8)
+	for _, i := range []int{3, 6} {
+		dup[i].Req = dup[0].Req
+	}
+	type counters struct{ partitions, evaluated, prunedFit, collapsed, pricings int64 }
+	for _, tc := range []struct {
+		name string
+		e    *Explorer
+		prms []PRM
+		want *counters // nil: only agreement across splits is required
+	}{
+		{"constrained-7", constrainedExplorer(), repro, &counters{877, 120, 603, 154, 329}},
+		{"constrained-8", constrainedExplorer(), dup, nil},
+		{"duplicate-9-3", explorer(t, "XC6VLX75T"), DuplicatePRMs(9, 3), nil},
+	} {
+		ctx := context.Background()
+		wantFront := Pareto(tc.e.ExploreAll(tc.prms))
+		ref := tc.want
+		for split := 1; split <= len(tc.prms); split++ {
+			for _, workers := range []int{1, 2, 4, 16} {
+				opts := BBOptions{Workers: workers, splitDepth: split}
+				stats, err := tc.e.ExploreBB(ctx, tc.prms, opts, func(DesignPoint) bool { return true })
+				if err != nil {
+					t.Fatalf("%s opts=%+v: %v", tc.name, opts, err)
+				}
+				got := counters{stats.Partitions, stats.Evaluated, stats.PrunedFit, stats.CollapsedSymmetry, stats.GroupPricings}
+				if ref == nil {
+					ref = &got
+				} else if got != *ref {
+					t.Errorf("%s split=%d workers=%d: partitions/evaluated/pruned-fit/collapsed/pricings = %v, want %v",
+						tc.name, split, workers, got, *ref)
+				}
+
+				opts.DominancePrune = true
+				front, pstats, err := tc.e.ExploreParetoBB(ctx, tc.prms, opts)
+				if err != nil {
+					t.Fatalf("%s opts=%+v: %v", tc.name, opts, err)
+				}
+				if !reflect.DeepEqual(front, wantFront) {
+					t.Errorf("%s split=%d workers=%d: front differs from Pareto(ExploreAll)", tc.name, split, workers)
+				}
+				if total := pstats.Evaluated + pstats.PrunedFit + pstats.PrunedDominated + pstats.CollapsedSymmetry; total != pstats.Partitions {
+					t.Errorf("%s split=%d workers=%d: evaluated %d + pruned %d+%d + collapsed %d != Bell(n) %d",
+						tc.name, split, workers, pstats.Evaluated, pstats.PrunedFit, pstats.PrunedDominated,
+						pstats.CollapsedSymmetry, pstats.Partitions)
+				}
+			}
+		}
+	}
 }
 
 // TestExploreBBCallbackMatchesExploreAll: with pruning disabled the callback

@@ -55,26 +55,6 @@ func (e *Explorer) elemBounds(prms []PRM) []elemBound {
 	return out
 }
 
-// groupNeedLB folds member lower bounds into the group's window lower bound:
-// the merged organization takes per-resource maxima over members, so each
-// kind's column count is at least the largest member lower bound.
-func groupNeedLB(bounds []elemBound, members []int) floorplan.Need {
-	var need floorplan.Need
-	for _, m := range members {
-		b := &bounds[m]
-		if b.minNeed.CLB > need.CLB {
-			need.CLB = b.minNeed.CLB
-		}
-		if b.minNeed.DSP > need.DSP {
-			need.DSP = b.minNeed.DSP
-		}
-		if b.minNeed.BRAM > need.BRAM {
-			need.BRAM = b.minNeed.BRAM
-		}
-	}
-	return need
-}
-
 // extTable counts RGS extensions: ext[r][u] is the number of restricted
 // growth strings completing r further positions when u group labels are
 // already in use — exactly the number of leaf partitions under a tree node,

@@ -59,7 +59,6 @@ const memoShardCount = 32
 // into that run's class table, so the memo is never reused across runs.
 type groupMemo struct {
 	shards [memoShardCount]memoShard
-	stats  memoStats
 }
 
 // memoShard holds the two tables described above. feas is keyed by the
@@ -147,49 +146,6 @@ func (m *groupMemo) putInfeasible(shard int, key []byte, ev groupEval) bool {
 	}
 	s.mu.Unlock()
 	return !exists
-}
-
-// memoStripe is one stripe of the memo's lookup accounting, padded to its
-// own cache line (mutex 8 bytes + three counters 24 bytes).
-type memoStripe struct {
-	mu                    sync.Mutex
-	hits, misses, entries int64
-	_                     [64 - 8 - 24]byte
-}
-
-// memoStats counts memo lookups and insertions. Workers accumulate locally
-// and flush once per subtree job (bulk), so the per-lookup hot path touches
-// no shared counter; snapshot locks every stripe at once — writers only ever
-// hold one — so the triple is a single epoch, never a racy mid-flush sum.
-type memoStats struct {
-	stripes [memoShardCount]memoStripe
-}
-
-// bulk folds a worker's local counters into one stripe.
-func (s *memoStats) bulk(stripe int, hits, misses, entries int64) {
-	st := &s.stripes[stripe%memoShardCount]
-	st.mu.Lock()
-	st.hits += hits
-	st.misses += misses
-	st.entries += entries
-	st.mu.Unlock()
-}
-
-// snapshot sums all stripes under a single epoch (locks acquired in index
-// order).
-func (s *memoStats) snapshot() (hits, misses, entries int64) {
-	for i := range s.stripes {
-		s.stripes[i].mu.Lock()
-	}
-	for i := range s.stripes {
-		hits += s.stripes[i].hits
-		misses += s.stripes[i].misses
-		entries += s.stripes[i].entries
-	}
-	for i := range s.stripes {
-		s.stripes[i].mu.Unlock()
-	}
-	return hits, misses, entries
 }
 
 // memoKeySep separates the composition half of a key from the region half.

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -274,62 +273,6 @@ func FuzzMemoKey(f *testing.F) {
 			t.Fatalf("canonical key unchanged after class mutation: %q", key)
 		}
 	})
-}
-
-// TestMemoStatsConsistentUnderHammer: concurrent bulk flushes against
-// concurrent snapshots. Every flush adds the triple (2, 1, 1) under one
-// stripe lock and snapshot holds all stripe locks at once, so each snapshot
-// must see a whole number of flushes — hits exactly twice misses, entries
-// exactly misses — never a torn partial triple.
-func TestMemoStatsConsistentUnderHammer(t *testing.T) {
-	var ms memoStats
-	const writers, flushes = 8, 2000
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	var snapErr error
-	var snapMu sync.Mutex
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				h, m, e := ms.snapshot()
-				if h != 2*m || e != m {
-					snapMu.Lock()
-					if snapErr == nil {
-						snapErr = fmt.Errorf("torn snapshot: hits=%d misses=%d entries=%d", h, m, e)
-					}
-					snapMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	var ww sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		ww.Add(1)
-		go func(w int) {
-			defer ww.Done()
-			for i := 0; i < flushes; i++ {
-				ms.bulk(w*31+i, 2, 1, 1)
-			}
-		}(w)
-	}
-	ww.Wait()
-	close(done)
-	wg.Wait()
-	if snapErr != nil {
-		t.Fatal(snapErr)
-	}
-	h, m, e := ms.snapshot()
-	if want := int64(writers * flushes); m != want || h != 2*want || e != want {
-		t.Fatalf("final snapshot %d/%d/%d, want %d/%d/%d", h, m, e, 2*want, want, want)
-	}
 }
 
 // TestMemoMetricsRegistered: a memoized exploration must move the registry

@@ -30,6 +30,8 @@ type ParetoFront struct {
 	// only when the front actually changed, so its pruning decisions stay
 	// bit-identical to calling DominatedBound on every tree edge.
 	version uint64
+	// peak is the largest size the front has reached.
+	peak int
 }
 
 // dominates reports whether a strictly-Pareto-dominates b on the three
@@ -91,6 +93,7 @@ func (f *ParetoFront) Add(dp DesignPoint, seq uint64) bool {
 	copy(f.pts[at+1:], f.pts[at:])
 	f.pts[at] = np
 	f.version++
+	f.peak = max(f.peak, len(f.pts))
 	return true
 }
 

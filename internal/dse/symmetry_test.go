@@ -75,7 +75,7 @@ func checkSymmetryEquivalence(t *testing.T, e *Explorer, prms []PRM, wantCollaps
 	for _, opts := range []BBOptions{
 		{},
 		{DominancePrune: true},
-		{DominancePrune: true, SplitDepth: 3, Workers: 3},
+		{DominancePrune: true, splitDepth: 3, Workers: 3},
 	} {
 		got, stats, err := e.ExploreParetoBB(context.Background(), prms, opts)
 		if err != nil {

@@ -33,7 +33,7 @@ func TestReviewReproStaleEvalsStack(t *testing.T) {
 
 	want := Pareto(e.ExploreAll(prms))
 	got, _, err := e.ExploreParetoBB(context.Background(), prms,
-		BBOptions{Workers: 1, SplitDepth: 2})
+		BBOptions{Workers: 1, splitDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,8 +193,12 @@ type BitstreamResponse struct {
 type ExploreOptions struct {
 	// Workers caps engine goroutines — both the branch-and-bound search
 	// workers and, for co-explorations, the pool replaying front
-	// organizations against the mix; 0 means the server's default. The
-	// worker count never changes results, only wall-clock time.
+	// organizations against the mix; 0 means GOMAXPROCS. The worker count
+	// never changes the front, the streamed points or the ranked scores. It
+	// does pick the depth at which the search is split into subtree jobs,
+	// and each job prunes against its own front, so with dominance pruning
+	// on the pruning counters in the stats (and the work they save) follow
+	// the split.
 	Workers int `json:"workers,omitempty"`
 	// DisableDominancePrune turns off dominance pruning (the default prunes).
 	DisableDominancePrune bool `json:"disable_dominance_prune,omitempty"`

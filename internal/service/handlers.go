@@ -305,12 +305,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 // bbOptions maps wire explore options onto engine options; explorations and
 // co-explorations share it, so both price the design space identically.
 func (s *Server) bbOptions(o api.ExploreOptions) dse.BBOptions {
-	workers := o.Workers
-	if workers <= 0 {
-		workers = s.cfg.ExploreWorkers
-	}
 	opts := dse.BBOptions{
-		Workers:         workers,
+		Workers:         o.Workers,
 		DominancePrune:  !o.DisableDominancePrune,
 		DisableFitPrune: o.DisableFitPrune,
 	}

@@ -34,9 +34,6 @@ type Config struct {
 	// Estimator prices reconfiguration time for bitstream results and
 	// explorations; nil means ICAP-32 fed from DDR SDRAM.
 	Estimator icap.Estimator
-	// ExploreWorkers caps engine goroutines per exploration; 0 lets the
-	// engine pick (GOMAXPROCS).
-	ExploreWorkers int
 	// Registry receives the serving metrics; nil means obs.Default().
 	Registry *obs.Registry
 	// Tracer, when set, records a span tree per request. Incoming W3C
