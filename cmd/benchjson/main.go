@@ -14,6 +14,9 @@
 //	benchjson -compare BENCH_baseline.json BENCH_dse.json -threshold 1.30
 //
 // A zero-alloc baseline is gated strictly: any new allocation regresses.
+// Each benchmark keeps the GOMAXPROCS it ran at (its name's "-N" suffix) as
+// procs, and the comparison notes every row whose procs differ from the
+// baseline's without changing the verdict.
 // Benchmarks only present on one side are reported but never fail the
 // comparison: benchmark sets may grow, and one-shot (-benchtime=1x) runs of
 // the biggest cases are too noisy to gate until they have a baseline.
@@ -42,9 +45,12 @@ type BenchDoc struct {
 	Benchmarks []Bench `json:"benchmarks"`
 }
 
-// Bench is one benchmark result line.
+// Bench is one benchmark result line. Procs is the GOMAXPROCS the line ran
+// at, from the name's "-N" suffix (none means 1); 0 means a document
+// recorded before the field existed.
 type Bench struct {
 	Name       string             `json:"name"`
+	Procs      int                `json:"procs,omitempty"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
@@ -54,7 +60,7 @@ type Bench struct {
 const Schema = "repro/bench/v1"
 
 // benchLine matches "BenchmarkName-8   12   345 ns/op   0.9 extra-metric ...".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
 // parse reads `go test -bench` text output into a BenchDoc.
 func parse(r io.Reader) (BenchDoc, error) {
@@ -77,13 +83,18 @@ func parse(r io.Reader) (BenchDoc, error) {
 		if m == nil {
 			continue
 		}
-		iters, err := strconv.ParseInt(m[2], 10, 64)
+		iters, err := strconv.ParseInt(m[3], 10, 64)
 		if err != nil {
 			continue
 		}
-		b := Bench{Name: m[1], Iterations: iters}
+		b := Bench{Name: m[1], Procs: 1, Iterations: iters}
+		if m[2] != "" {
+			if b.Procs, err = strconv.Atoi(m[2]); err != nil {
+				return doc, fmt.Errorf("%s: bad GOMAXPROCS suffix %q", b.Name, m[2])
+			}
+		}
 		// The tail alternates "value unit": "123 ns/op 0.94 pruned-frac".
-		fields := strings.Fields(m[3])
+		fields := strings.Fields(m[4])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -113,6 +124,14 @@ func parse(r io.Reader) (BenchDoc, error) {
 	}
 	sort.Slice(doc.Benchmarks, func(i, j int) bool { return doc.Benchmarks[i].Name < doc.Benchmarks[j].Name })
 	return doc, nil
+}
+
+// procsString renders a recorded GOMAXPROCS, "?" where none was recorded.
+func procsString(p int) string {
+	if p == 0 {
+		return "?"
+	}
+	return strconv.Itoa(p)
 }
 
 func load(path string) (BenchDoc, error) {
@@ -160,12 +179,16 @@ func compare(w io.Writer, old, new BenchDoc, threshold float64) []string {
 				}
 			}
 		}
+		procsNote := ""
+		if o.Procs != b.Procs {
+			procsNote = fmt.Sprintf(", procs %s -> %s", procsString(o.Procs), procsString(b.Procs))
+		}
 		status := "ok"
 		if bad {
 			status = "REGRESSED"
 			regressed = append(regressed, b.Name)
 		}
-		fmt.Fprintf(w, "  %-9s %-60s %14.0f -> %14.0f ns/op (%.2fx)%s\n", status, b.Name, o.NsPerOp, b.NsPerOp, ratio, allocNote)
+		fmt.Fprintf(w, "  %-9s %-60s %14.0f -> %14.0f ns/op (%.2fx)%s%s\n", status, b.Name, o.NsPerOp, b.NsPerOp, ratio, allocNote, procsNote)
 	}
 	for _, o := range old.Benchmarks {
 		if !seen[o.Name] {

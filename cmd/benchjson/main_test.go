@@ -34,6 +34,56 @@ func TestParse(t *testing.T) {
 	if b.Metrics["pruned-frac"] != 0.9477 || b.Metrics["resident-peak"] != 6 {
 		t.Fatalf("extra metrics wrong: %+v", b.Metrics)
 	}
+	// The "-N" GOMAXPROCS suffix leaves the name and becomes Procs; a line
+	// without one ran at GOMAXPROCS=1.
+	for _, c := range []struct {
+		line, name string
+		procs      int
+	}{
+		{"BenchmarkExploreParetoBB/n=11-8   1   5 ns/op", "BenchmarkExploreParetoBB/n=11", 8},
+		{"BenchmarkExploreParetoBBDup/n=16/k=4-2   1   5 ns/op", "BenchmarkExploreParetoBBDup/n=16/k=4", 2},
+		{"BenchmarkMemoHit   100   5 ns/op", "BenchmarkMemoHit", 1},
+	} {
+		doc, err := parse(strings.NewReader(c.line))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Benchmarks) != 1 || doc.Benchmarks[0].Name != c.name || doc.Benchmarks[0].Procs != c.procs {
+			t.Errorf("%q parsed as %+v, want name %q procs %d", c.line, doc.Benchmarks, c.name, c.procs)
+		}
+	}
+}
+
+// TestCompareProcs: a row whose GOMAXPROCS differs from the baseline's says
+// so, a baseline recorded without procs shows "?", and neither changes the
+// verdict.
+func TestCompareProcs(t *testing.T) {
+	old := BenchDoc{Schema: Schema, Benchmarks: []Bench{
+		{Name: "Same", Procs: 2, NsPerOp: 100},
+		{Name: "Moved", Procs: 1, NsPerOp: 100},
+		{Name: "Unrecorded", NsPerOp: 100},
+	}}
+	cur := BenchDoc{Schema: Schema, Benchmarks: []Bench{
+		{Name: "Same", Procs: 2, NsPerOp: 100},
+		{Name: "Moved", Procs: 2, NsPerOp: 100},
+		{Name: "Unrecorded", Procs: 4, NsPerOp: 100},
+	}}
+	var sb strings.Builder
+	if regressed := compare(&sb, old, cur, 1.30); len(regressed) != 0 {
+		t.Fatalf("regressed = %v, want none\n%s", regressed, sb.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		var want string
+		switch {
+		case strings.Contains(line, "Moved"):
+			want = "procs 1 -> 2"
+		case strings.Contains(line, "Unrecorded"):
+			want = "procs ? -> 4"
+		}
+		if want != "" && !strings.HasSuffix(line, want) || want == "" && strings.Contains(line, "procs") {
+			t.Errorf("line %q, want procs note %q", line, want)
+		}
+	}
 }
 
 func TestCompare(t *testing.T) {

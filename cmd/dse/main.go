@@ -19,10 +19,12 @@
 // symmetry collapse (-symmetry off disables it) skips interchangeable
 // partitions.
 //
-// The engine additionally memoizes group pricings across subtree workers by
-// (signature-class composition, placed-region multiset) — the orbit-level
-// collapse that makes duplicate-heavy walks interactive; -memo off disables
-// it for A/B measurement (the front is bit-identical either way).
+// The engine additionally memoizes group pricings by (signature-class
+// composition, placed-region multiset) — the orbit-level collapse that makes
+// duplicate-heavy walks interactive. Each walk (the root walk and every
+// subtree worker) keeps its own memo, so the memo line's entries count what
+// the walks stored: one per miss. -memo off disables it for A/B measurement
+// (the front is bit-identical either way).
 //
 // Observability: -metrics-addr serves Prometheus text at /metrics (plus
 // expvar, and pprof with -pprof), -trace-out writes nested spans as JSON

@@ -80,7 +80,7 @@ func TestCoverBoundSoundness(t *testing.T) {
 // is pinned, so a DSP demand beyond Rows * DSPPerCol has no covering
 // organization at any height and must report Coverable == false. (Plain
 // width overflow is deliberately NOT uncoverable here: organizations are
-// unbounded in W, and it is the window search / RunIndex that rejects
+// unbounded in W, and it is the window search / WindowIndex.CanHold that rejects
 // fabric-sized widths.)
 func TestCoverBoundUncoverable(t *testing.T) {
 	dev, err := device.New(device.Spec{

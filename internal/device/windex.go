@@ -14,10 +14,9 @@ import "sync"
 // after the first are a map read returning the shared slice: no allocation,
 // no O(cols) re-classification.
 //
-// The index also records the fabric's maximal PRR-allowed column runs (the
-// same census floorplan.RunIndex is built from): any forbidden-free window
-// lies inside one run, so the per-kind maxima over runs bound what any window
-// can contain, independent of H.
+// The index also records the fabric's maximal PRR-allowed column runs: any
+// forbidden-free window lies inside one run, so the runs bound what any
+// window can contain, independent of H (see CanHold).
 //
 // Entries are immutable once built; the map only grows (bounded by the
 // distinct needs the workload presents). The fabric must not be mutated after
@@ -126,6 +125,25 @@ func (ix *WindowIndex) buildCandidates(comp Composition) []int {
 // Runs returns one composition per maximal PRR-allowed column run, in
 // left-to-right order. The slice is shared and must not be mutated.
 func (ix *WindowIndex) Runs() []Composition { return ix.runs }
+
+// CanHold reports whether some allowed run contains at least comp's column
+// count of every kind simultaneously. Any window the floorplan search can
+// ever return lies entirely inside one run — a window must be contiguous and
+// forbidden-free — so false means no window with those (or larger) per-kind
+// counts exists anywhere on the fabric, for any row, height, avoid set or
+// hole layout: a sound bound for branch-and-bound pruning.
+func (ix *WindowIndex) CanHold(comp Composition) bool {
+next:
+	for _, run := range ix.runs {
+		for k, c := range comp {
+			if run[k] < c {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
+}
 
 // MaxRun returns the per-kind maximum column counts over the allowed runs: no
 // window anywhere on the fabric can contain more columns of a kind.

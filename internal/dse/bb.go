@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/floorplan"
 	"repro/internal/obs"
 )
@@ -84,8 +85,9 @@ type BBStats struct {
 	// the memo changes where prices come from, never how many are needed.
 	MemoHits   int64
 	MemoMisses int64
-	// MemoEntries is the number of distinct (composition, avoid-multiset)
-	// evaluations stored — the orbit-level count the fiber walk collapsed to.
+	// MemoEntries is the number of (composition, avoid-multiset) evaluations
+	// the walks stored: each walk keeps its own memo and stores one entry per
+	// miss, so it equals MemoMisses. A key two walks both priced counts twice.
 	MemoEntries int64
 }
 
@@ -132,7 +134,7 @@ type bbRun struct {
 	prms   []PRM
 	n      int
 	bounds []elemBound
-	runIdx *floorplan.RunIndex
+	windex *device.WindowIndex
 	ext    extTable
 	bit    core.BitstreamModel
 
@@ -145,9 +147,9 @@ type bbRun struct {
 	sym     bool
 	classOf []int
 	classes int
-	// memo, when non-nil, shares priced (composition, avoid-multiset) group
-	// evaluations across every subtree worker of this run (see memo.go).
-	memo *groupMemo
+	// memo gives every walk of this run its own (composition,
+	// avoid-multiset) group-pricing memo (see memo.go).
+	memo bool
 
 	// jobCh carries the root walk's subtree jobs to the workers.
 	jobCh   chan *bbJob
@@ -201,7 +203,7 @@ type bbState struct {
 	// contents (version) and the node's (reconfig, minRU) bounds, which repeat
 	// across huge stretches of the walk, so the last computed threshold is
 	// kept here and reused across nodes until any input changes. Prune
-	// decisions stay bit-identical to calling DominatedBound per edge.
+	// decisions stay bit-identical to computing it afresh per edge.
 	domT     int
 	domVer   uint64
 	domRec   time.Duration
@@ -216,14 +218,14 @@ type bbState struct {
 	// never allocates either. Row width is n (a prefix has at most n groups).
 	saveEvalsBuf  []groupEval
 	savePlacedBuf []floorplan.Region
-	// msc holds the memo key encoder's scratch buffers; l1 is the owning
-	// worker's private view of the shared memo (see memo.go).
-	msc memoScratch
-	l1  *memoL1
+	// msc holds the memo key encoder's scratch buffers; memo is this walk's
+	// own pricing memo (see memo.go).
+	msc  memoScratch
+	memo groupMemo
 
 	// local counters, summed into BBStats once every walk has finished
 	evaluated, prunedFit, prunedDom, collapsed, pricings int64
-	memoHits, memoMisses, memoEntries                    int64
+	memoHits, memoMisses                                 int64
 }
 
 // newBBState allocates a walk whose DFS state is preallocated at n×n scale,
@@ -245,8 +247,8 @@ func newBBState(r *bbRun) *bbState {
 		saveEvalsBuf:  make([]groupEval, n*n),
 		savePlacedBuf: make([]floorplan.Region, n*n),
 	}
-	if r.memo != nil {
-		s.l1 = newMemoL1()
+	if r.memo {
+		s.memo = newGroupMemo()
 	}
 	return s
 }
@@ -260,7 +262,7 @@ func (s *bbState) tally(st *BBStats) {
 	st.GroupPricings += s.pricings
 	st.MemoHits += s.memoHits
 	st.MemoMisses += s.memoMisses
-	st.MemoEntries += s.memoEntries
+	st.MemoEntries += int64(len(s.memo.feas) + len(s.memo.inf))
 }
 
 // reprice re-derives the priced-group stack from group `from` on, stopping
@@ -444,8 +446,8 @@ func (s *bbState) rec(i int, tilesLB, bytesLB int, minRUub float64) bool {
 	// it joins, so they are hoisted out of the child loop — and the dominance
 	// bound collapses to one cached tiles threshold per front version (see
 	// dominanceThreshold), recomputed only when a leaf below actually changed
-	// the front. The prune decisions are identical to calling DominatedBound
-	// on every edge.
+	// the front. The prune decisions are identical to recomputing the
+	// threshold on every edge.
 	cbLB := bytesLB
 	if eb.minBytes > cbLB {
 		cbLB = eb.minBytes
@@ -473,7 +475,7 @@ func (s *bbState) rec(i int, tilesLB, bytesLB int, minRUub float64) bool {
 		var groupTiles int
 		if g < u {
 			need = maxNeed(s.needLB[g], eb.minNeed)
-			if r.fitPrune && !r.runIdx.CanHold(need) {
+			if r.fitPrune && !r.windex.CanHold(need.Composition()) {
 				s.skip(leaves, false, i)
 				continue
 			}
@@ -680,7 +682,7 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 		prms:     prms,
 		n:        n,
 		bounds:   e.elemBounds(prms),
-		runIdx:   floorplan.RunIndexFor(&e.Device.Fabric),
+		windex:   e.Device.Fabric.WindowIndex(),
 		ext:      newExtTable(n),
 		bit:      core.NewBitstreamModel(e.Device.Params),
 		fitPrune: !opts.DisableFitPrune,
@@ -690,10 +692,8 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 		classOf:  ct.classOf,
 		classes:  ct.classes(),
 		ctx:      ctx,
+		memo:     memoOn,
 		visit:    visit,
-	}
-	if memoOn {
-		run.memo = newGroupMemo()
 	}
 
 	// The walk runs once, sequentially, down to depth k, pricing and
@@ -707,8 +707,8 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := range walks {
-		// The walk, and its L1 memo view, lives for the worker's whole job
-		// stream, so entries learned in one subtree stay warm for the next.
+		// The walk, and its memo, lives for the worker's whole job stream, so
+		// entries learned in one subtree stay warm for the next.
 		s := newBBState(run)
 		walks[w] = s
 		go func() {

@@ -111,7 +111,7 @@ func BenchmarkExploreParetoBBDup(b *testing.B) {
 }
 
 // BenchmarkMemoHit isolates the memo's hit path — canonical key build plus
-// L1 map read — the operation an n=20-scale walk performs hundreds of
+// map read — the operation an n=20-scale walk performs hundreds of
 // millions of times. The allocs/op it reports must stay 0 (gated in CI).
 func BenchmarkMemoHit(b *testing.B) {
 	dev, err := device.Lookup("XC6VLX75T")
@@ -127,9 +127,9 @@ func BenchmarkMemoHit(b *testing.B) {
 		n:       len(prms),
 		bit:     core.NewBitstreamModel(e.Device.Params),
 		classOf: ct.classOf,
-		memo:    newGroupMemo(),
+		memo:    true,
 	}
-	s := &bbState{run: r, l1: newMemoL1()}
+	s := &bbState{run: r, memo: newGroupMemo()}
 	s.members = [][]int{{0, 1}, {2, 3}}
 	s.placed = make([]floorplan.Region, 2)
 	ev := s.priceEdge(0)

@@ -1,8 +1,6 @@
 package dse
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/floorplan"
 )
@@ -23,8 +21,16 @@ import (
 // for feasible outcomes, because EstimateShared merges per-resource maxima
 // (order- and identity-free) and the window search rejects candidates by
 // overlap against the avoid *set* (core.RegionLess documents that
-// envelope). The fabric is fixed per exploration — the memo lives on one
-// bbRun — so fabric identity never needs encoding.
+// envelope). The fabric is fixed per exploration — each memo lives inside
+// one exploration's walks — so fabric identity never needs encoding.
+//
+// Every walk owns its memo outright: the root walk that carves the subtree
+// jobs keeps one, and each worker keeps one across all the jobs it drains.
+// Nothing is shared, so a lookup is a plain map read with no lock, and the
+// memo counters of a one-worker run do not depend on scheduling. Two walks
+// may each price the same key once; at one worker the root walk and the
+// worker share almost no keys (3 of 19,783 lookups on DuplicatePRMs(12, 3)),
+// so a shared tier would only add hashing and locking to every miss.
 //
 // Infeasible outcomes carry one order-dependent artifact: EstimateShared's
 // error names the in-group index of the first member that failed ("core:
@@ -50,102 +56,20 @@ const (
 	MemoOff
 )
 
-// memoShardCount spreads the memo over independently locked shards so
-// parallel subtree workers rarely contend on the same mutex.
-const memoShardCount = 32
-
-// groupMemo is the per-exploration pricing memo, shared by every subtree
-// worker of one bbRun so the first-k-level jobs warm each other. Keys index
-// into that run's class table, so the memo is never reused across runs.
+// groupMemo is one walk's pricing memo: the root walk and every worker own
+// one for their whole life, so entries learned in one subtree job stay warm
+// for the next without any locking. feas is keyed by the canonical
+// sorted-composition key, inf by the ordered-composition key (the two key
+// families are kept in separate maps precisely so an ordered key can never
+// collide with another composition's canonical form). Keys index into the
+// run's class table, so a memo is never reused across runs.
 type groupMemo struct {
-	shards [memoShardCount]memoShard
-}
-
-// memoShard holds the two tables described above. feas is keyed by the
-// canonical sorted-composition key; inf by the ordered-composition key
-// (the two key families are kept in separate maps precisely so an ordered
-// key can never collide with another composition's canonical form).
-type memoShard struct {
-	mu   sync.RWMutex
 	feas map[string]groupEval
 	inf  map[string]groupEval
 }
 
-func newGroupMemo() *groupMemo {
-	m := &groupMemo{}
-	for i := range m.shards {
-		m.shards[i].feas = make(map[string]groupEval)
-		m.shards[i].inf = make(map[string]groupEval)
-	}
-	return m
-}
-
-// fnvShardIndex picks a shard by an FNV-style mix over the key. The mix
-// consumes eight bytes per multiply instead of FNV-1a's one: shard selection
-// only needs a balanced spread over 32 buckets, not the reference digest, and
-// the engine hashes a key per tree edge.
-func fnvShardIndex(key []byte) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for len(key) >= 8 {
-		w := uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
-			uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
-		h = (h ^ w) * prime64
-		key = key[8:]
-	}
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * prime64
-	}
-	return int(h % memoShardCount)
-}
-
-// getFeasible looks up a canonical-key entry. Map reads via m[string(key)]
-// are compiler-optimized to skip the string conversion, so hits allocate
-// nothing.
-func (m *groupMemo) getFeasible(shard int, key []byte) (groupEval, bool) {
-	s := &m.shards[shard]
-	s.mu.RLock()
-	ev, ok := s.feas[string(key)]
-	s.mu.RUnlock()
-	return ev, ok
-}
-
-// getInfeasible looks up an ordered-key entry.
-func (m *groupMemo) getInfeasible(shard int, key []byte) (groupEval, bool) {
-	s := &m.shards[shard]
-	s.mu.RLock()
-	ev, ok := s.inf[string(key)]
-	s.mu.RUnlock()
-	return ev, ok
-}
-
-// putFeasible stores a canonical-key entry, reporting whether it was a new
-// insertion (false when a racing worker stored the identical value first —
-// pricing is deterministic, so overwrites are value-equal and harmless).
-func (m *groupMemo) putFeasible(shard int, key []byte, ev groupEval) bool {
-	s := &m.shards[shard]
-	s.mu.Lock()
-	_, exists := s.feas[string(key)]
-	if !exists {
-		s.feas[string(key)] = ev
-	}
-	s.mu.Unlock()
-	return !exists
-}
-
-// putInfeasible stores an ordered-key entry.
-func (m *groupMemo) putInfeasible(shard int, key []byte, ev groupEval) bool {
-	s := &m.shards[shard]
-	s.mu.Lock()
-	_, exists := s.inf[string(key)]
-	if !exists {
-		s.inf[string(key)] = ev
-	}
-	s.mu.Unlock()
-	return !exists
+func newGroupMemo() groupMemo {
+	return groupMemo{feas: make(map[string]groupEval), inf: make(map[string]groupEval)}
 }
 
 // memoKeySep separates the composition half of a key from the region half.
@@ -237,67 +161,34 @@ func (sc *memoScratch) orderedKey(members, classOf []int) []byte {
 	return b
 }
 
-// memoL1 is a worker-private, lock-free view of the shared memo: the worker
-// copies every entry it reads or writes into its own maps, so repeat lookups
-// — the overwhelming steady state — cost one map read with no RWMutex or
-// atomic traffic. The shared memo stays the source of truth (and the only
-// place entries are counted); the L1 can only ever hold copies of entries
-// that exist there, so it never changes a lookup's outcome, only its cost.
-type memoL1 struct {
-	feas map[string]groupEval
-	inf  map[string]groupEval
-}
-
-func newMemoL1() *memoL1 {
-	return &memoL1{feas: make(map[string]groupEval), inf: make(map[string]groupEval)}
-}
-
 // priceEdge prices one tree edge's group — the branch-and-bound engine's
-// work unit — consulting the run's memo when one is active. The stats
-// contract: pricings counts every edge (hit or miss) so GroupPricings is
-// identical memo-on and memo-off; hits+misses equals pricings on memo-on
-// runs.
+// work unit — consulting the walk's memo when the run has one. Map reads via
+// m[string(key)] are compiler-optimized to skip the string conversion, so
+// hits allocate nothing. The stats contract: pricings counts every edge (hit
+// or miss) so GroupPricings is identical memo-on and memo-off; hits+misses
+// equals pricings on memo-on runs, and every miss stores one entry.
 func (s *bbState) priceEdge(g int) groupEval {
 	r := s.run
 	s.pricings++
-	m := r.memo
-	if m == nil {
+	if !r.memo {
 		return r.e.priceGroup(r.prms, s.members[g], s.placed[:g], r.bit)
 	}
 	ck := s.msc.canonicalKey(s.members[g], r.classOf, s.placed[:g])
-	if ev, ok := s.l1.feas[string(ck)]; ok {
+	if ev, ok := s.memo.feas[string(ck)]; ok {
 		s.memoHits++
-		return ev
-	}
-	shard := fnvShardIndex(ck)
-	if ev, ok := m.getFeasible(shard, ck); ok {
-		s.memoHits++
-		s.l1.feas[string(ck)] = ev
 		return ev
 	}
 	okey := s.msc.orderedKey(s.members[g], r.classOf)
-	if ev, ok := s.l1.inf[string(okey)]; ok {
+	if ev, ok := s.memo.inf[string(okey)]; ok {
 		s.memoHits++
-		return ev
-	}
-	oshard := fnvShardIndex(okey)
-	if ev, ok := m.getInfeasible(oshard, okey); ok {
-		s.memoHits++
-		s.l1.inf[string(okey)] = ev
 		return ev
 	}
 	s.memoMisses++
 	ev := r.e.priceGroup(r.prms, s.members[g], s.placed[:g], r.bit)
 	if ev.feasible {
-		if m.putFeasible(shard, ck, ev) {
-			s.memoEntries++
-		}
-		s.l1.feas[string(ck)] = ev
+		s.memo.feas[string(ck)] = ev
 	} else {
-		if m.putInfeasible(oshard, okey, ev) {
-			s.memoEntries++
-		}
-		s.l1.inf[string(okey)] = ev
+		s.memo.inf[string(okey)] = ev
 	}
 	return ev
 }

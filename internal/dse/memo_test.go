@@ -54,11 +54,33 @@ func checkMemoEquivalence(t *testing.T, e *Explorer, prms []PRM, wantActive bool
 	if !reflect.DeepEqual(onStats, offStats) {
 		t.Errorf("memo-on stats differ beyond the memo counters\n on  %+v\noff %+v", onStats, offStats)
 	}
+	checkMemoDeterministic(t, e, prms)
+}
+
+// checkMemoDeterministic pins Workers 1, where the root walk and the single
+// worker each own their memo: every counter, the memo's included, must then
+// be a function of the input alone, identical across repeated runs.
+func checkMemoDeterministic(t *testing.T, e *Explorer, prms []PRM) {
+	t.Helper()
+	opts := BBOptions{DominancePrune: true, Workers: 1}
+	_, want, err := e.ExploreParetoBB(context.Background(), prms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 50; run++ {
+		_, got, err := e.ExploreParetoBB(context.Background(), prms, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("Workers 1 run %d stats differ from run 0\n got  %+v\nwant %+v", run, got, want)
+		}
+	}
 }
 
 // TestMemoMatchesMemoOff: duplicate-heavy workloads across two catalog
-// devices. Run under -race this also exercises the shared memo tables and the
-// striped stats from the parallel subtree workers.
+// devices. Run under -race this also exercises the per-walk memos of the
+// parallel subtree workers.
 func TestMemoMatchesMemoOff(t *testing.T) {
 	for _, devName := range []string{"XC6VLX75T", "XC5VLX110T"} {
 		for _, nk := range []struct{ n, k int }{{7, 2}, {8, 3}, {9, 2}} {
@@ -308,7 +330,7 @@ func TestMemoMetricsRegistered(t *testing.T) {
 	}
 }
 
-// TestMemoHitNoAlloc: a memo hit — key build plus L1 map read — must not
+// TestMemoHitNoAlloc: a memo hit — key build plus map read — must not
 // allocate; the hit path runs hundreds of millions of times in an n=20 walk.
 func TestMemoHitNoAlloc(t *testing.T) {
 	e := explorer(t, "XC6VLX75T")
@@ -320,9 +342,9 @@ func TestMemoHitNoAlloc(t *testing.T) {
 		n:       len(prms),
 		bit:     core.NewBitstreamModel(e.Device.Params),
 		classOf: ct.classOf,
-		memo:    newGroupMemo(),
+		memo:    true,
 	}
-	s := &bbState{run: r, l1: newMemoL1()}
+	s := &bbState{run: r, memo: newGroupMemo()}
 	s.members = [][]int{{0, 1}, {2, 3}}
 	s.placed = make([]floorplan.Region, 2)
 	ev := s.priceEdge(0) // miss: prices and stores

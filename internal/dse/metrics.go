@@ -42,7 +42,7 @@ var (
 	metMemoMisses = obs.Default().Counter("dse_group_memo_misses_total",
 		"group-pricing memo lookups that priced the group with the cost models")
 	metMemoEntries = obs.Default().Counter("dse_group_memo_entries_total",
-		"distinct (composition, avoid-multiset) evaluations stored in group-pricing memos")
+		"(composition, avoid-multiset) evaluations the explorer walks stored in their group-pricing memos, one per miss")
 )
 
 // Symmetry-collapse metrics: how many PRM equivalence classes the

@@ -28,7 +28,7 @@ type ParetoFront struct {
 	// version counts mutations (successful Adds). The branch-and-bound
 	// engine caches dominanceThreshold per (node, version) and recomputes
 	// only when the front actually changed, so its pruning decisions stay
-	// bit-identical to calling DominatedBound on every tree edge.
+	// bit-identical to computing the threshold afresh on every tree edge.
 	version uint64
 	// peak is the largest size the front has reached.
 	peak int
@@ -107,41 +107,22 @@ func (f *ParetoFront) Merge(o *ParetoFront) {
 	}
 }
 
-// DominatedBound reports whether some front point would dominate EVERY
-// design point whose objectives are bounded by tilesLB <= TotalTiles,
-// reconfigLB <= WorstReconfig and MinRU <= minRUub. The strictness test runs
-// against the bounds, so a true answer proves strict dominance of every
-// point in the box — the branch-and-bound engine may then discard the whole
-// subtree without changing the exact front (ties survive: a point equal to a
-// front point is never strictly inside the box's dominated region).
-func (f *ParetoFront) DominatedBound(tilesLB int, reconfigLB time.Duration, minRUub float64) bool {
-	for i := range f.pts {
-		q := &f.pts[i].dp
-		if q.TotalTiles > tilesLB {
-			// The front is sorted by TotalTiles ascending (frontLess), and a
-			// dominating point needs TotalTiles <= tilesLB, so nothing after
-			// this one can qualify. The engine calls this on every tree edge;
-			// the early exit answers most "not dominated" probes in one
-			// comparison.
-			return false
-		}
-		if q.WorstReconfig <= reconfigLB && q.MinRU >= minRUub &&
-			(q.TotalTiles < tilesLB || q.WorstReconfig < reconfigLB || q.MinRU > minRUub) {
-			return true
-		}
-	}
-	return false
-}
-
-// dominanceThreshold folds DominatedBound's scan, for fixed (reconfigLB,
-// minRUub), into a single tiles threshold T: DominatedBound(t, reconfigLB,
-// minRUub) is true iff t >= T. For each front point with q.WorstReconfig <=
+// dominanceThreshold answers the branch-and-bound engine's subtree question
+// — does some front point strictly dominate EVERY design point with
+// tilesLB <= TotalTiles, reconfigLB <= WorstReconfig and MinRU <= minRUub? —
+// for fixed (reconfigLB, minRUub), as a single tiles threshold T: the answer
+// is yes iff tilesLB >= T. The strictness test runs against the bounds, so a
+// yes proves strict dominance of every point in the box, and the engine may
+// discard the whole subtree without changing the exact front (ties survive:
+// a point equal to a front point is never strictly inside the box's
+// dominated region). For each front point with q.WorstReconfig <=
 // reconfigLB and q.MinRU >= minRUub, a box with tilesLB >= q.TotalTiles is
 // dominated when one of those axes is strict, and tilesLB > q.TotalTiles
-// when both are ties (the tiles axis must then supply the strictness) —
-// so T is the minimum of q.TotalTiles (+1 on double ties) over qualifying
+// when both are ties (the tiles axis must then supply the strictness) — so
+// T is the minimum of q.TotalTiles (+1 on double ties) over qualifying
 // points, and maxInt when none qualify. The engine computes T once per tree
-// node per front version and compares each child's tiles bound against it.
+// node per front version and compares each child's tiles bound against it;
+// pareto_stream_test.go checks it against a point-by-point scan.
 func (f *ParetoFront) dominanceThreshold(reconfigLB time.Duration, minRUub float64) int {
 	const maxInt = int(^uint(0) >> 1)
 	t := maxInt

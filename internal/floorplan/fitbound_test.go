@@ -18,9 +18,9 @@ func fabricFor(t *testing.T, layout string, rows int) *device.Fabric {
 func TestRunIndexCounts(t *testing.T) {
 	// Three allowed runs: [C C D C], [B C C], [C]; IOB and CLK break runs.
 	f := fabricFor(t, "I C*2 D C I B C*2 K C I", 2)
-	ri := NewRunIndex(f)
-	if ri.Runs() != 3 {
-		t.Fatalf("Runs() = %d, want 3", ri.Runs())
+	ix := f.WindowIndex()
+	if len(ix.Runs()) != 3 {
+		t.Fatalf("Runs() = %d, want 3", len(ix.Runs()))
 	}
 
 	cases := []struct {
@@ -36,7 +36,7 @@ func TestRunIndexCounts(t *testing.T) {
 		{Need{CLB: 1, DSP: 1, BRAM: 1}, false},
 	}
 	for _, c := range cases {
-		if got := ri.CanHold(c.need); got != c.want {
+		if got := ix.CanHold(c.need.Composition()); got != c.want {
 			t.Errorf("CanHold(%+v) = %v, want %v", c.need, got, c.want)
 		}
 	}
@@ -44,18 +44,18 @@ func TestRunIndexCounts(t *testing.T) {
 
 // TestRunIndexNecessaryForFindWindow is the soundness property the
 // branch-and-bound engine relies on: whenever FindWindow succeeds, the
-// window's per-kind composition must be CanHold-able. (The converse need not
+// window index's CanHold must accept the need's per-kind composition. (The converse need not
 // hold — CanHold ignores ordering — which is fine for an admissible bound.)
 func TestRunIndexNecessaryForFindWindow(t *testing.T) {
 	f := fabricFor(t, "I C*3 D C*2 I C*2 B C I", 3)
-	ri := NewRunIndex(f)
+	ix := f.WindowIndex()
 	needs := []Need{
 		{CLB: 1}, {CLB: 3}, {CLB: 5, DSP: 1}, {CLB: 2, BRAM: 1},
 		{CLB: 4, BRAM: 1}, {DSP: 1, BRAM: 1}, {CLB: 6},
 	}
 	for h := 1; h <= 3; h++ {
 		for _, need := range needs {
-			if w, ok := FindWindow(f, h, need); ok && !ri.CanHold(need) {
+			if w, ok := FindWindow(f, h, need); ok && !ix.CanHold(need.Composition()) {
 				t.Errorf("FindWindow(h=%d) placed %+v at %+v but CanHold = false", h, need, w)
 			}
 		}
@@ -63,7 +63,7 @@ func TestRunIndexNecessaryForFindWindow(t *testing.T) {
 	// And the structural cases CanHold rejects must indeed have no window at
 	// any height.
 	for _, need := range []Need{{DSP: 1, BRAM: 1}, {CLB: 6}} {
-		if ri.CanHold(need) {
+		if ix.CanHold(need.Composition()) {
 			t.Fatalf("CanHold(%+v) unexpectedly true", need)
 		}
 		for h := 1; h <= 3; h++ {

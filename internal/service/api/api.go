@@ -331,8 +331,8 @@ type ExploreStats struct {
 	Classes         int   `json:"classes,omitempty"`
 	OrbitsCollapsed int64 `json:"orbits_collapsed,omitempty"`
 	// MemoHits / MemoMisses count group-pricing memo lookups; MemoEntries is
-	// the number of distinct orbit-level evaluations stored (all zero with the
-	// memo off or all-distinct PRMs).
+	// the number of evaluations the explorer's walks stored in their own
+	// memos, one per miss (all zero with the memo off or all-distinct PRMs).
 	MemoHits    int64 `json:"memo_hits,omitempty"`
 	MemoMisses  int64 `json:"memo_misses,omitempty"`
 	MemoEntries int64 `json:"memo_entries,omitempty"`
@@ -363,6 +363,9 @@ const (
 	MaxSimPRMs      = 64
 	MaxSimPolicies  = 4
 	MaxSimSnapshots = 10_000
+	// MaxSimMeanUS caps mean_gap_us and mean_exec_us at 1000 hours, the
+	// simulator's sim.MaxMixMean.
+	MaxSimMeanUS = 3_600_000_000
 )
 
 // simPolicies are the scheduler policies /v1/simulate accepts.
@@ -376,10 +379,15 @@ type SimMix struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Arrival is the arrival process: "uniform" (default), "bursty" or
 	// "simultaneous".
-	Arrival    string `json:"arrival,omitempty"`
-	MeanGapUS  int64  `json:"mean_gap_us,omitempty"`
-	MeanExecUS int64  `json:"mean_exec_us,omitempty"`
-	Burst      int    `json:"burst,omitempty"`
+	Arrival string `json:"arrival,omitempty"`
+	// MeanGapUS and MeanExecUS are the mean inter-arrival and service times
+	// (service defaults to 500). Each is at most MaxSimMeanUS, and jointly
+	// jobs² × (4·mean_gap_us + 2·mean_exec_us) must not exceed 2^62 ns
+	// (sim.MaxMixLoad, about 4.6e15 µs) so the simulated int64-nanosecond
+	// clock can never wrap; anything beyond is a 400.
+	MeanGapUS  int64 `json:"mean_gap_us,omitempty"`
+	MeanExecUS int64 `json:"mean_exec_us,omitempty"`
+	Burst      int   `json:"burst,omitempty"`
 	// Weights biases the PRM-class draw; positional, one per PRM.
 	Weights        []int `json:"weights,omitempty"`
 	PriorityLevels int   `json:"priority_levels,omitempty"`
@@ -469,6 +477,9 @@ func (r *SimulateRequest) Validate() error {
 	}
 	if m.MeanGapUS < 0 || m.MeanExecUS < 0 || m.Burst < 0 || m.PriorityLevels < 0 {
 		return fmt.Errorf("api: simulate mix fields must be non-negative")
+	}
+	if m.MeanGapUS > MaxSimMeanUS || m.MeanExecUS > MaxSimMeanUS {
+		return fmt.Errorf("api: simulate mix means exceed the %d µs limit", MaxSimMeanUS)
 	}
 	if len(m.Weights) != 0 && len(m.Weights) != n {
 		return fmt.Errorf("api: %d mix weights for %d PRMs", len(m.Weights), n)

@@ -190,11 +190,9 @@ func simMix(req *api.SimulateRequest, nPRMs int) (sim.Mix, error) {
 		Weights:        req.Mix.Weights,
 		PriorityLevels: req.Mix.PriorityLevels,
 	}
-	// Surface generator-level complaints (weight arity and sign) as 400s
-	// before any stream starts.
-	probe := m
-	probe.Jobs = 0
-	if _, err := probe.Generate(nPRMs); err != nil {
+	// Surface generator-level complaints (weight arity and sign, the
+	// clock budget) as 400s before any stream starts.
+	if err := m.Validate(nPRMs); err != nil {
 		return sim.Mix{}, err
 	}
 	return m, nil

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/device"
-	"repro/internal/floorplan"
 	"repro/internal/icap"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -147,11 +146,11 @@ func New(cfg Config) *Server {
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 
-	// Warm the per-fabric window and run indexes for the whole catalog up
-	// front: the first request against any device then pays only its own
-	// need's candidate build, not the fabric classification.
+	// Warm the per-fabric window indexes for the whole catalog up front: the
+	// first request against any device then pays only its own need's
+	// candidate build, not the fabric classification.
 	for _, d := range device.All() {
-		floorplan.RunIndexFor(&d.Fabric)
+		d.Fabric.WindowIndex()
 	}
 
 	mux := http.NewServeMux()

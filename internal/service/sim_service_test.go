@@ -142,6 +142,8 @@ func TestSimulateBadRequests(t *testing.T) {
 		"both workloads":          `{"device":"XC6VLX75T","synthetic_n":3,"prms":[{"req":{"luts":1}}],"mix":{"jobs":10}}`,
 		"snapshot flood":          `{"device":"XC6VLX75T","synthetic_n":3,"mix":{"jobs":1000000},"snapshot_every":1}`,
 		"co-explore over the cap": `{"device":"XC6VLX75T","synthetic_n":13,"co_explore":true,"mix":{"jobs":10}}`,
+		"gap wraps the clock":     `{"device":"XC6VLX75T","synthetic_n":3,"mix":{"jobs":50,"mean_gap_us":1125899906842624}}`,
+		"mix over the clock":      `{"device":"XC6VLX75T","synthetic_n":3,"summary_only":true,"mix":{"jobs":1000000,"mean_gap_us":1000}}`,
 	} {
 		resp, raw := post(t, ts, "/v1/simulate", body)
 		if resp.StatusCode != http.StatusBadRequest {

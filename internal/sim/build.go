@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bitstream"
 	"repro/internal/core"
@@ -101,32 +100,6 @@ func SingleSlot(name string, tiles, loadBytes int, specs []Spec) Platform {
 // device, so every task switch reloads the full configuration bitstream.
 func BuildFullReconfig(dev *device.Device, specs []Spec) Platform {
 	return SingleSlot("device", dev.Fabric.Rows*dev.Fabric.NumColumns(), dev.FullBitstreamBytes(), specs)
-}
-
-// platformCache memoizes BuildGroups per front organization so the k
-// policies scoring one organization share a single platform build, even
-// when different workers pick up the organization's runs. The sync.Once per
-// slot makes concurrent gets for the same organization build exactly once.
-type platformCache struct {
-	dev    *device.Device
-	specs  []Spec
-	builds []cachedBuild
-}
-
-type cachedBuild struct {
-	once sync.Once
-	plat Platform
-	err  error
-}
-
-func newPlatformCache(dev *device.Device, specs []Spec, orgs int) *platformCache {
-	return &platformCache{dev: dev, specs: specs, builds: make([]cachedBuild, orgs)}
-}
-
-func (c *platformCache) get(org int, groups [][]int) (Platform, error) {
-	b := &c.builds[org]
-	b.once.Do(func() { b.plat, b.err = BuildGroups(c.dev, c.specs, groups) })
-	return b.plat, b.err
 }
 
 // BuildGroups realizes one design point from the explorer: one PRR per

@@ -139,7 +139,6 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 
 	k := len(policies)
 	pairs := make([]coexPair, len(orgs)*k)
-	builds := newPlatformCache(dev, specs, len(orgs))
 
 	var (
 		cb      sync.Mutex // serializes snap/score callbacks
@@ -148,16 +147,9 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 		wg      sync.WaitGroup
 	)
 
-	runOne := func(oi, pi int) {
+	runOne := func(oi, pi int, plat Platform) {
 		pair := &pairs[oi*k+pi]
 		dp := front[orgs[oi]]
-		plat, err := builds.get(oi, dp.Groups)
-		if err != nil {
-			pair.err = fmt.Errorf("sim: realizing front organization %d: %w", orgs[oi], err)
-			stopped.Store(true)
-			cancel()
-			return
-		}
 		pol := policies[pi]
 		run := Config{
 			Platform:        plat,
@@ -211,8 +203,8 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 
 	// Organization-granular dispatch (like the DSE engine's chunked worker
 	// pool, with chunk = one organization since each is k full replays):
-	// one worker claims an organization and scores it under every policy,
-	// so the memoized platform build stays worker-local in the common case.
+	// one worker claims an organization, builds its platform once and scores
+	// it under every policy.
 	worker := func() {
 		defer wg.Done()
 		for {
@@ -220,11 +212,18 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 			if oi >= len(orgs) || stopped.Load() || runCtx.Err() != nil {
 				return
 			}
+			plat, err := BuildGroups(dev, specs, front[orgs[oi]].Groups)
+			if err != nil {
+				pairs[oi*k].err = fmt.Errorf("sim: realizing front organization %d: %w", orgs[oi], err)
+				stopped.Store(true)
+				cancel()
+				return
+			}
 			for pi := 0; pi < k; pi++ {
 				if stopped.Load() {
 					return
 				}
-				runOne(oi, pi)
+				runOne(oi, pi, plat)
 			}
 		}
 	}

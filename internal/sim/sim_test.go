@@ -316,18 +316,40 @@ func TestMixValidation(t *testing.T) {
 	cases := []Mix{
 		{Jobs: -1},
 		{Jobs: 1, Arrival: "poisson"},
-		{Jobs: 1, Weights: []int{1}},          // wrong arity for 2 classes
-		{Jobs: 1, Weights: []int{0, 0}},       // all zero
-		{Jobs: 1, Weights: []int{-1, 2}},      // negative
-		{Jobs: 1, MeanGap: -time.Microsecond}, // negative duration
+		{Jobs: 1, Weights: []int{1}},                             // wrong arity for 2 classes
+		{Jobs: 1, Weights: []int{0, 0}},                          // all zero
+		{Jobs: 1, Weights: []int{-1, 2}},                         // negative
+		{Jobs: 1, MeanGap: -time.Microsecond},                    // negative duration
+		{Jobs: 50, MeanGap: 1 << 50 * time.Microsecond},          // wraps the clock
+		{Jobs: 1_000_000, MeanGap: time.Millisecond},             // jobs² × span over budget
+		{Jobs: 2, MeanExec: MaxMixMean + 1},                      // mean over the cap
+		{Jobs: 1000, MeanGap: MaxMixLoad / 1000 / 1000 / 4},      // default exec tips it over
+		{Jobs: 100, Arrival: ArrivalBursty, MeanGap: MaxMixMean}, // 100² × 4 × 1000h
 	}
 	for i, m := range cases {
 		if _, err := m.Generate(2); err == nil {
 			t.Fatalf("case %d: want error for %+v", i, m)
 		}
+		if err := m.Validate(2); err == nil {
+			t.Fatalf("case %d: Validate accepts %+v", i, m)
+		}
 	}
 	if _, err := (Mix{Jobs: 1}).Generate(0); err == nil {
 		t.Fatal("want error for zero PRM classes")
+	}
+	// The largest accepted gaps keep every arrival step non-negative.
+	for _, arr := range []Arrival{ArrivalUniform, ArrivalBursty} {
+		m := Mix{Jobs: 1000, Arrival: arr, Burst: 1, MeanExec: time.Nanosecond,
+			MeanGap: (MaxMixLoad/1000/1000 - 2) / 4}
+		jobs, err := m.Generate(2)
+		if err != nil {
+			t.Fatalf("%s: bound mix rejected: %v", arr, err)
+		}
+		for i := 1; i < len(jobs); i++ {
+			if jobs[i].Arrival < jobs[i-1].Arrival {
+				t.Fatalf("%s: arrival %d went backwards: %v after %v", arr, i, jobs[i].Arrival, jobs[i-1].Arrival)
+			}
+		}
 	}
 }
 
