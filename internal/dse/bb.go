@@ -74,10 +74,10 @@ type BBStats struct {
 	SplitDepth int
 	// FrontSize is the final Pareto-front size (Pareto mode).
 	FrontSize int
-	// MaxResident is the peak number of front points a one-worker walk holds:
-	// the maximum over jobs j of the final front sizes of jobs 0..j-1 plus
-	// job j's own peak. It is O(front), where ExploreAll holds O(Bell(n)),
-	// and it does not depend on how the workers interleave.
+	// MaxResident is the peak number of points the exploration's one front
+	// held. It is O(front), where ExploreAll holds O(Bell(n)). At Workers 1
+	// it is a function of the input; with more workers it follows the order
+	// their jobs add points in.
 	MaxResident int64
 	// MemoHits / MemoMisses count group-pricing memo lookups (0 with MemoOff
 	// or when every signature is distinct). Every tree edge does exactly one
@@ -112,7 +112,6 @@ type groupEval struct {
 // walk would continue. seq is the enumeration index of the job's first leaf,
 // so results keep the sequential order whichever worker runs them, and
 // tiles/bytes/minRU are the running objective bounds rec carried down to it.
-// front is the job's own Pareto front, set by the worker in Pareto mode.
 type bbJob struct {
 	members              [][]int
 	evals                []groupEval
@@ -125,7 +124,6 @@ type bbJob struct {
 	seq                  uint64
 	tiles, bytes         int
 	minRU                float64
-	front                *ParetoFront
 }
 
 // bbRun is the per-exploration shared state.
@@ -150,6 +148,9 @@ type bbRun struct {
 	// memo gives every walk of this run its own (composition,
 	// avoid-multiset) group-pricing memo (see memo.go).
 	memo bool
+	// front is the exploration's one Pareto front (Pareto mode only): every
+	// worker walk adds its feasible leaves to it and prunes against it.
+	front *ParetoFront
 
 	// jobCh carries the root walk's subtree jobs to the workers.
 	jobCh   chan *bbJob
@@ -188,22 +189,28 @@ type bbState struct {
 	pendLabel int
 	pendClass int
 
+	// front is run.front on worker walks and nil on the root walk, which
+	// carves every job without dominance pruning: at Workers 1 the worker
+	// then meets the jobs in enumeration order against a front only it
+	// writes, so every counter is a function of the input.
 	front *ParetoFront
 	seq   uint64
 	nodes int
 
 	// split is the depth at which this walk stops descending and hands the
-	// subtree to the workers instead; jobs keeps every job handed off, in
-	// enumeration order. Only the root walk sets split; workers leave it 0,
-	// a depth their resumed walks never revisit.
-	split int
-	jobs  []*bbJob
+	// subtree to the workers instead; subtrees counts the jobs handed off.
+	// Only the root walk sets split; workers leave it 0, a depth their
+	// resumed walks never revisit.
+	split    int
+	subtrees int
 
 	// Dominance-threshold cache: dominanceThreshold depends only on the front
 	// contents (version) and the node's (reconfig, minRU) bounds, which repeat
 	// across huge stretches of the walk, so the last computed threshold is
-	// kept here and reused across nodes until any input changes. Prune
-	// decisions stay bit-identical to computing it afresh per edge.
+	// kept here and reused across nodes until any input changes. The version
+	// is read before the threshold is computed, so a cached threshold is never
+	// older than its version: the cache only ever skips a recomputation that
+	// would give the same answer.
 	domT     int
 	domVer   uint64
 	domRec   time.Duration
@@ -493,10 +500,10 @@ func (s *bbState) rec(i int, tilesLB, bytesLB int, minRUub float64) bool {
 		if g < u {
 			ctLB = tilesLB - s.tilesLB[g] + groupTiles
 		}
-		if r.domPrune && s.front != nil && s.front.Len() > 0 {
-			if !s.domReady || s.domVer != s.front.version || s.domRec != recLB || s.domRU != cRU {
+		if r.domPrune && s.front != nil {
+			if v := s.front.version.Load(); !s.domReady || s.domVer != v || s.domRec != recLB || s.domRU != cRU {
 				s.domT = s.front.dominanceThreshold(recLB, cRU)
-				s.domVer, s.domRec, s.domRU = s.front.version, recLB, cRU
+				s.domVer, s.domRec, s.domRU = v, recLB, cRU
 				s.domReady = true
 			}
 			if ctLB >= s.domT {
@@ -596,13 +603,13 @@ func (s *bbState) handOff(tilesLB, bytesLB int, minRUub float64) {
 		bytes:     bytesLB,
 		minRU:     minRUub,
 	}
-	s.jobs = append(s.jobs, j)
+	s.subtrees++
 	s.run.jobCh <- j
 	s.seq += uint64(s.run.ext.leaves(s.run.n-s.split, len(s.members)))
 }
 
 // runJob restores job j's snapshot into the worker's walk and resumes rec at
-// the split depth, against the job's own front.
+// the split depth.
 func (s *bbState) runJob(j *bbJob, depth int) {
 	n := s.run.n
 	s.members = s.members[:0]
@@ -617,13 +624,12 @@ func (s *bbState) runJob(j *bbJob, depth int) {
 	copy(s.lastLabel, j.lastLabel)
 	s.pendLabel, s.pendClass = j.pendLabel, j.pendClass
 	s.seq = j.seq
-	s.front, s.domReady = j.front, false
 	s.rec(depth, j.tiles, j.bytes, j.minRU)
 }
 
 // autoSplitDepth picks the shallowest split that still feeds the workers:
-// the smallest k with Bell(k) >= 4*workers, kept shallow so each job's own
-// front prunes a deep subtree.
+// the smallest k with Bell(k) >= 4*workers, kept shallow because the root
+// walk carves the jobs without dominance pruning.
 func autoSplitDepth(n, workers int) int {
 	k := 1
 	for k < n-3 && bellNumber(k) < 4*workers {
@@ -695,6 +701,9 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 		memo:     memoOn,
 		visit:    visit,
 	}
+	if pareto {
+		run.front = &ParetoFront{}
+	}
 
 	// The walk runs once, sequentially, down to depth k, pricing and
 	// charging every prefix there by the same rules as below it. Each
@@ -710,6 +719,7 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 		// The walk, and its memo, lives for the worker's whole job stream, so
 		// entries learned in one subtree stay warm for the next.
 		s := newBBState(run)
+		s.front = run.front
 		walks[w] = s
 		go func() {
 			defer wg.Done()
@@ -724,9 +734,6 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 				if ctx.Err() != nil || run.stop.Load() {
 					continue
 				}
-				if pareto {
-					j.front = &ParetoFront{}
-				}
 				s.runJob(j, k)
 				done++
 			}
@@ -738,9 +745,8 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 	root.rec(0, 0, 0, 200)
 	close(run.jobCh)
 	wg.Wait()
-	jobs := root.jobs
-	span.SetAttr("prms", n).SetAttr("subtrees", len(jobs)).SetAttr("split_depth", k).SetAttr("workers", workers)
-	metBBSubtrees.Add(int64(len(jobs)))
+	span.SetAttr("prms", n).SetAttr("subtrees", root.subtrees).SetAttr("split_depth", k).SetAttr("workers", workers)
+	metBBSubtrees.Add(int64(root.subtrees))
 
 	if err := ctx.Err(); err != nil {
 		span.SetAttr("cancelled", true)
@@ -750,30 +756,17 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 	stats = BBStats{
 		Partitions: int64(bellNumber(n)),
 		Classes:    ct.classes(),
-		Subtrees:   len(jobs),
+		Subtrees:   root.subtrees,
 		SplitDepth: k,
 	}
 	root.tally(&stats)
 	for _, s := range walks {
 		s.tally(&stats)
 	}
-	// Merging the job fronts in enumeration order is exact (see Merge). The
-	// resident peak is the one a single worker running the jobs in order
-	// would reach: every earlier job's final front plus this job's peak.
-	global := &ParetoFront{}
-	var resident int64
-	for _, j := range jobs {
-		f := j.front
-		if f == nil {
-			continue
-		}
-		stats.MaxResident = max(stats.MaxResident, resident+int64(f.peak))
-		resident += int64(f.Len())
-		global.Merge(f)
-	}
 	var points []DesignPoint
 	if pareto {
-		points = global.Points()
+		stats.MaxResident = int64(run.front.peak)
+		points = run.front.Points()
 		if sym && len(points) > 0 {
 			// Rehydrate the representative front: the engine only priced the
 			// lex-least member of each fiber, but the flat front contains
@@ -825,10 +818,11 @@ func (e *Explorer) ExploreBB(ctx context.Context, prms []PRM, opts BBOptions, vi
 }
 
 // ExploreParetoBB runs the branch-and-bound engine in streaming-Pareto mode:
-// feasible leaves feed per-subtree online Pareto mergers whose fronts are
-// merged in enumeration order, so the result is element-for-element
-// identical to Pareto(ExploreAll(prms)) while resident memory stays
-// O(front) instead of O(Bell(n)). When interchangeable PRMs let the symmetry
+// every worker feeds its feasible leaves to one online Pareto merger and
+// prunes against it, and the merger's output does not depend on the order
+// points arrive in, so the result is element-for-element identical to
+// Pareto(ExploreAll(prms)) while resident memory stays O(front) instead of
+// O(Bell(n)). When interchangeable PRMs let the symmetry
 // collapse skip fibers, the representative front is expanded back to
 // concrete partitions before returning, so callers see the same bit-exact
 // front either way.

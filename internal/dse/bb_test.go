@@ -291,22 +291,41 @@ func TestParetoFrontStreaming(t *testing.T) {
 		t.Errorf("streamed front differs from batch Pareto (%d vs %d points)", len(got), len(want))
 	}
 
-	// Split at arbitrary boundaries and merge in order.
-	for _, cut := range []int{1, 7, len(all) / 2, len(all) - 3} {
-		a, b := &ParetoFront{}, &ParetoFront{}
-		for i, p := range all {
-			if !p.Feasible {
-				continue
-			}
-			if i < cut {
-				a.Add(p, uint64(i))
-			} else {
-				b.Add(p, uint64(i))
-			}
+	// Insertion order: the explorer's walks add to one front in whatever
+	// order they reach their leaves, so any permutation of the same indexed
+	// points must give the same front. Every front point gets an exact-
+	// objective twin at a later index, told apart by its bitstream total, so
+	// the tie order is checked too.
+	type item struct {
+		dp  DesignPoint
+		seq uint64
+	}
+	var items []item
+	var seqOrder []DesignPoint
+	for i, p := range all {
+		if p.Feasible {
+			items = append(items, item{p, uint64(i)})
+			seqOrder = append(seqOrder, p)
 		}
-		a.Merge(b)
-		if got := a.Points(); !reflect.DeepEqual(got, want) {
-			t.Errorf("cut %d: merged front differs from batch Pareto", cut)
+	}
+	for i, p := range want {
+		p.TotalBitstreamBytes += 1 + i
+		items = append(items, item{p, uint64(len(all) + i)})
+		seqOrder = append(seqOrder, p)
+	}
+	wantTies := Pareto(seqOrder)
+	if len(wantTies) != 2*len(want) {
+		t.Fatalf("front with twins has %d points, want %d", len(wantTies), 2*len(want))
+	}
+	rng := rand.New(rand.NewSource(53))
+	for perm := 0; perm < 50; perm++ {
+		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		f := &ParetoFront{}
+		for _, it := range items {
+			f.Add(it.dp, it.seq)
+		}
+		if got := f.Points(); !reflect.DeepEqual(got, wantTies) {
+			t.Fatalf("permutation %d: front differs from batch Pareto in index order", perm)
 		}
 	}
 }

@@ -74,9 +74,9 @@ func BenchmarkExploreParetoBB(b *testing.B) {
 // pricings to one per orbit-level (composition, avoid-multiset) pair:
 // collapsed-frac reports the fraction of the partition space skipped as
 // symmetric images, memo-hit-rate the fraction of tree edges answered from
-// the memo. n=20/k=5 (232M orbit-level compositions) completes exactly in
-// minutes with the memo but is still too long for a benchmark iteration; CI
-// demonstrates it in a dedicated step instead.
+// the memo. n=20/k=5 completes exactly in about ten single-core seconds, too
+// long for a benchmark iteration; CI demonstrates it in a dedicated job
+// instead.
 func BenchmarkExploreParetoBBDup(b *testing.B) {
 	for _, c := range []struct{ n, k int }{{12, 3}, {16, 4}} {
 		b.Run(fmt.Sprintf("n=%d/k=%d", c.n, c.k), func(b *testing.B) {

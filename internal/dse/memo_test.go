@@ -15,25 +15,30 @@ import (
 )
 
 // checkMemoEquivalence runs the Pareto exploration with the memo on and off
-// and requires bit-for-bit identical fronts (points, order, tie-breaks) and
-// identical stats modulo the memo counters themselves. When the memo is
-// expected to engage (duplicate signatures), it also checks the lookup
-// contract: every tree edge does exactly one lookup, so hits+misses equals
-// GroupPricings.
+// and requires bit-for-bit identical fronts (points, order, tie-breaks) at
+// the default worker count, and identical stats modulo the memo counters
+// themselves at Workers 1: with more workers the walks share one front, so
+// the search counters follow scheduling. When the memo is expected to engage
+// (duplicate signatures), it also checks the lookup contract: every tree edge
+// does exactly one lookup, so hits+misses equals GroupPricings.
 func checkMemoEquivalence(t *testing.T, e *Explorer, prms []PRM, wantActive bool) {
 	t.Helper()
 	ctx := context.Background()
-	on, onStats, err := e.ExploreParetoBB(ctx, prms, BBOptions{DominancePrune: true})
-	if err != nil {
-		t.Fatal(err)
+	explore := func(opts BBOptions) ([]DesignPoint, BBStats) {
+		t.Helper()
+		front, stats, err := e.ExploreParetoBB(ctx, prms, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return front, stats
 	}
-	off, offStats, err := e.ExploreParetoBB(ctx, prms, BBOptions{DominancePrune: true, Memo: MemoOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	on, _ := explore(BBOptions{DominancePrune: true})
+	off, _ := explore(BBOptions{DominancePrune: true, Memo: MemoOff})
 	if !reflect.DeepEqual(on, off) {
 		t.Fatalf("memo-on front differs from memo-off\n on  %+v\noff %+v", on, off)
 	}
+	_, onStats := explore(BBOptions{DominancePrune: true, Workers: 1})
+	_, offStats := explore(BBOptions{DominancePrune: true, Workers: 1, Memo: MemoOff})
 	if offStats.MemoHits != 0 || offStats.MemoMisses != 0 || offStats.MemoEntries != 0 {
 		t.Errorf("MemoOff reported memo activity: %+v", offStats)
 	}

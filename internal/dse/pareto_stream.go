@@ -2,6 +2,8 @@ package dse
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -22,14 +24,17 @@ type frontPoint struct {
 // Points() is element-for-element identical to Pareto(all points added), in
 // the same deterministic order: the front is kept sorted by (TotalTiles,
 // WorstReconfig asc, MinRU desc, enumeration index), which is exactly
-// Pareto()'s stable sort.
+// Pareto()'s stable sort. Exact-objective ties are all kept and ordered by
+// their index, so the result does not depend on the order points were added
+// in: concurrent walks may share one front.
 type ParetoFront struct {
+	mu  sync.Mutex
 	pts []frontPoint
 	// version counts mutations (successful Adds). The branch-and-bound
 	// engine caches dominanceThreshold per (node, version) and recomputes
-	// only when the front actually changed, so its pruning decisions stay
-	// bit-identical to computing the threshold afresh on every tree edge.
-	version uint64
+	// only when the front actually changed; it reads version without the
+	// lock, so a walk sees another walk's Add at its next tree edge.
+	version atomic.Uint64
 	// peak is the largest size the front has reached.
 	peak int
 }
@@ -62,6 +67,8 @@ func frontLess(a, b *frontPoint) bool {
 // copy) before offering dp; dominance reads only the three objectives, so a
 // partially-built point with correct objectives answers identically.
 func (f *ParetoFront) Dominated(dp *DesignPoint) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for i := range f.pts {
 		if dominates(&f.pts[i].dp, dp) {
 			return true
@@ -75,6 +82,8 @@ func (f *ParetoFront) Dominated(dp *DesignPoint) bool {
 // the front and every point dp dominates is evicted. Infeasible points must
 // be filtered by the caller, as Pareto() does.
 func (f *ParetoFront) Add(dp DesignPoint, seq uint64) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for i := range f.pts {
 		if dominates(&f.pts[i].dp, &dp) {
 			return false
@@ -92,19 +101,9 @@ func (f *ParetoFront) Add(dp DesignPoint, seq uint64) bool {
 	f.pts = append(f.pts, frontPoint{})
 	copy(f.pts[at+1:], f.pts[at:])
 	f.pts[at] = np
-	f.version++
+	f.version.Add(1)
 	f.peak = max(f.peak, len(f.pts))
 	return true
-}
-
-// Merge folds another front into this one, preserving exactness: merging
-// per-subtree fronts in enumeration order yields the same front as streaming
-// every point through one merger, because Pareto(A ∪ B) =
-// Pareto(Pareto(A) ∪ Pareto(B)).
-func (f *ParetoFront) Merge(o *ParetoFront) {
-	for i := range o.pts {
-		f.Add(o.pts[i].dp, o.pts[i].seq)
-	}
 }
 
 // dominanceThreshold answers the branch-and-bound engine's subtree question
@@ -124,6 +123,8 @@ func (f *ParetoFront) Merge(o *ParetoFront) {
 // node per front version and compares each child's tiles bound against it;
 // pareto_stream_test.go checks it against a point-by-point scan.
 func (f *ParetoFront) dominanceThreshold(reconfigLB time.Duration, minRUub float64) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	const maxInt = int(^uint(0) >> 1)
 	t := maxInt
 	for i := range f.pts {
@@ -145,12 +146,11 @@ func (f *ParetoFront) dominanceThreshold(reconfigLB time.Duration, minRUub float
 	return t
 }
 
-// Len returns the current front size.
-func (f *ParetoFront) Len() int { return len(f.pts) }
-
 // Points returns the front in Pareto()'s deterministic output order. An
 // empty front returns nil, matching Pareto() on an all-infeasible input.
 func (f *ParetoFront) Points() []DesignPoint {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if len(f.pts) == 0 {
 		return nil
 	}

@@ -20,9 +20,12 @@ import (
 // Batch limits: requests beyond these are rejected with 400 before any model
 // runs, bounding per-request work. MaxExplorePRMs bounds Bell(n): Bell(12)
 // is ~4.2M partitions, the most a single stream is allowed to walk.
+// MaxExploreWorkers bounds options.workers, the goroutines (and subtree
+// jobs) one explore or co-exploration may start.
 const (
-	MaxBatchItems  = 1024
-	MaxExplorePRMs = 12
+	MaxBatchItems     = 1024
+	MaxExplorePRMs    = 12
+	MaxExploreWorkers = 64
 )
 
 // Requirements is the wire form of a PRM's resource needs (Table I).
@@ -193,12 +196,14 @@ type BitstreamResponse struct {
 type ExploreOptions struct {
 	// Workers caps engine goroutines — both the branch-and-bound search
 	// workers and, for co-explorations, the pool replaying front
-	// organizations against the mix; 0 means GOMAXPROCS. The worker count
-	// never changes the front, the streamed points or the ranked scores. It
-	// does pick the depth at which the search is split into subtree jobs,
-	// and each job prunes against its own front, so with dominance pruning
-	// on the pruning counters in the stats (and the work they save) follow
-	// the split.
+	// organizations against the mix; 0 means GOMAXPROCS, and anything
+	// negative or above MaxExploreWorkers is a 400. The worker count never
+	// changes the front, the streamed points or the ranked scores. Every
+	// subtree job prunes against the exploration's one front, so with
+	// dominance pruning on and more than one worker, the work counters in
+	// the stats (evaluated, pruned, collapsed, pricings, memo) follow how
+	// the workers were scheduled; at one worker they are a function of the
+	// request.
 	Workers int `json:"workers,omitempty"`
 	// DisableDominancePrune turns off dominance pruning (the default prunes).
 	DisableDominancePrune bool `json:"disable_dominance_prune,omitempty"`
@@ -231,6 +236,20 @@ type ExploreRequest struct {
 	Options   ExploreOptions `json:"options,omitempty"`
 }
 
+// validate bounds the engine options shared by explore and simulate.
+func (o *ExploreOptions) validate() error {
+	if o.Workers < 0 || o.Workers > MaxExploreWorkers {
+		return fmt.Errorf("api: %d workers outside the 0-%d limit", o.Workers, MaxExploreWorkers)
+	}
+	if s := o.Symmetry; s != "" && s != "auto" && s != "off" {
+		return fmt.Errorf("api: unknown symmetry mode %q (want auto or off)", s)
+	}
+	if m := o.Memo; m != "" && m != "auto" && m != "off" {
+		return fmt.Errorf("api: unknown memo mode %q (want auto or off)", m)
+	}
+	return nil
+}
+
 // Validate bounds the exploration before the engine starts.
 func (r *ExploreRequest) Validate() error {
 	if r.Device == "" {
@@ -242,13 +261,7 @@ func (r *ExploreRequest) Validate() error {
 	if n := max(len(r.PRMs), r.SyntheticN); n > MaxExplorePRMs {
 		return fmt.Errorf("api: explore over %d PRMs exceeds the %d-PRM limit", n, MaxExplorePRMs)
 	}
-	if s := r.Options.Symmetry; s != "" && s != "auto" && s != "off" {
-		return fmt.Errorf("api: unknown symmetry mode %q (want auto or off)", s)
-	}
-	if m := r.Options.Memo; m != "" && m != "auto" && m != "off" {
-		return fmt.Errorf("api: unknown memo mode %q (want auto or off)", m)
-	}
-	return nil
+	return r.Options.validate()
 }
 
 // reqLess orders requirement signatures by their field tuple, mirroring the
@@ -490,13 +503,7 @@ func (r *SimulateRequest) Validate() error {
 	if r.SnapshotEvery > 0 && m.Jobs/r.SnapshotEvery > MaxSimSnapshots {
 		return fmt.Errorf("api: snapshot cadence emits over %d lines; raise snapshot_every", MaxSimSnapshots)
 	}
-	if s := r.Options.Symmetry; s != "" && s != "auto" && s != "off" {
-		return fmt.Errorf("api: unknown symmetry mode %q (want auto or off)", s)
-	}
-	if m := r.Options.Memo; m != "" && m != "auto" && m != "off" {
-		return fmt.Errorf("api: unknown memo mode %q (want auto or off)", m)
-	}
-	return nil
+	return r.Options.validate()
 }
 
 // SimMetrics is the schedule-aware summary of one simulation run.

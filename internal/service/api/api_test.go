@@ -95,6 +95,7 @@ func TestExploreRequestValidate(t *testing.T) {
 		"too many PRMs":    {Device: "d", SyntheticN: MaxExplorePRMs + 1},
 		"bad symmetry":     {Device: "d", SyntheticN: 4, Options: ExploreOptions{Symmetry: "maybe"}},
 		"bad memo":         {Device: "d", SyntheticN: 4, Options: ExploreOptions{Memo: "maybe"}},
+		"too many workers": {Device: "d", SyntheticN: 4, Options: ExploreOptions{Workers: MaxExploreWorkers + 1}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)

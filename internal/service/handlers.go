@@ -83,7 +83,7 @@ func (s *Server) handleBitstream(w http.ResponseWriter, r *http.Request) {
 			out.SizeBytes = bit.SizeBytes(org)
 			out.ConfigWordsPerRow = bit.ConfigWordsPerRow(org)
 			out.BRAMInitWordsPerRow = bit.BRAMInitWordsPerRow(org)
-			out.ReconfigNS = s.estimator.Estimate(out.SizeBytes).Nanoseconds()
+			out.ReconfigNS = estimator.Estimate(out.SizeBytes).Nanoseconds()
 		}
 		return json.Marshal(&resp)
 	})
@@ -265,7 +265,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			prms = append(prms, dse.PRM{Name: p.Name, Req: p.Req.Core()})
 		}
 	}
-	e := &dse.Explorer{Device: dev, Estimator: s.estimator}
+	e := &dse.Explorer{Device: dev, Estimator: estimator}
 	opts := s.bbOptions(req.Options)
 	key := api.CanonicalKey("explore", req)
 

@@ -76,7 +76,7 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 		bb := s.bbOptions(req.Options)
 		cfg := sim.CoExploreConfig{
 			Mix:           mix,
-			Estimator:     s.estimator,
+			Estimator:     estimator,
 			SnapshotEvery: snapEvery,
 			BB:            bb,
 			// The same workers knob caps both engines: the branch-and-bound
@@ -142,7 +142,7 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 		}
 	}
 	res, err := sim.Run(ctx, sim.Config{
-		Platform: plat, Policy: pol, Estimator: s.estimator, SnapshotEvery: snapEvery,
+		Platform: plat, Policy: pol, Estimator: estimator, SnapshotEvery: snapEvery,
 	}, jobs, visit)
 	if err != nil {
 		return nil, err

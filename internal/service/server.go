@@ -30,9 +30,6 @@ type Config struct {
 	// limiting. Burst is the bucket depth (minimum 1).
 	RatePerSec float64
 	Burst      int
-	// Estimator prices reconfiguration time for bitstream results and
-	// explorations; nil means ICAP-32 fed from DDR SDRAM.
-	Estimator icap.Estimator
 	// Registry receives the serving metrics; nil means obs.Default().
 	Registry *obs.Registry
 	// Tracer, when set, records a span tree per request. Incoming W3C
@@ -43,9 +40,6 @@ type Config struct {
 	// shed and drain-refused ones. The server flushes it on Shutdown/Close;
 	// the caller owns Close.
 	AccessLog *obs.AccessLog
-	// Objectives declares the per-endpoint SLOs the rolling tracker scores
-	// requests against at /debug/slo; nil means DefaultObjectives().
-	Objectives []obs.Objective
 
 	// now and evalHook are test seams: a fake clock for the rate limiter and
 	// a hook invoked before each cache-missed evaluation.
@@ -53,9 +47,13 @@ type Config struct {
 	evalHook func(endpoint string)
 }
 
-// DefaultObjectives is the serving SLO the catalog endpoints are scored
-// against when the config declares none: tight on the O(1) endpoints, loose
-// on explorations (dominated by engine time, not serving overhead).
+// estimator prices reconfiguration time for bitstream results, explorations
+// and simulations: the 32-bit ICAP fed from DDR SDRAM.
+var estimator icap.Estimator = icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}
+
+// DefaultObjectives is the serving SLO the rolling tracker scores requests
+// against at /debug/slo: tight on the O(1) endpoints, loose on explorations
+// (dominated by engine time, not serving overhead).
 func DefaultObjectives() []obs.Objective {
 	return []obs.Objective{
 		{Endpoint: "healthz", P99: 50 * time.Millisecond},
@@ -83,9 +81,8 @@ type Server struct {
 	mux   *http.ServeMux
 	cache *lruCache
 	// flight coalesces identical in-flight cacheable evaluations.
-	flight    *flightGroup
-	limiter   *rateLimiter
-	estimator icap.Estimator
+	flight  *flightGroup
+	limiter *rateLimiter
 
 	inflightN atomic.Int64
 	// streamMu guards the registry of explore and simulate runs — NDJSON
@@ -124,22 +121,13 @@ func New(cfg Config) *Server {
 	case cfg.MaxInflight < 0:
 		cfg.MaxInflight = 0
 	}
-	est := cfg.Estimator
-	if est == nil {
-		est = icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}
-	}
-	objectives := cfg.Objectives
-	if objectives == nil {
-		objectives = DefaultObjectives()
-	}
 	s := &Server{
-		cfg:       cfg,
-		met:       newServiceMetrics(cfg.Registry),
-		slo:       obs.NewSLOTracker(obs.DefaultSLOSlotDur, obs.DefaultSLOSlots, objectives),
-		cache:     newLRUCache(cfg.CacheEntries),
-		flight:    newFlightGroup(),
-		limiter:   newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.now),
-		estimator: est,
+		cfg:     cfg,
+		met:     newServiceMetrics(cfg.Registry),
+		slo:     obs.NewSLOTracker(obs.DefaultSLOSlotDur, obs.DefaultSLOSlots, DefaultObjectives()),
+		cache:   newLRUCache(cfg.CacheEntries),
+		flight:  newFlightGroup(),
+		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.now),
 	}
 	if cfg.now != nil {
 		s.slo.SetClock(cfg.now)

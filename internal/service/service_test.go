@@ -206,11 +206,12 @@ func TestBitstreamMatchesModel(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, tc := range map[string]struct{ path, body string }{
-		"malformed JSON": {"/v1/prr", `{"device":`},
-		"no device":      {"/v1/prr", `{"prms":[{"req":{"luts":1}}]}`},
-		"unknown device": {"/v1/prr", `{"device":"XC0FAKE","prms":[{"req":{"luts":1}}]}`},
-		"empty batch":    {"/v1/bitstream", `{"device":"XC6VLX75T","items":[]}`},
-		"both workloads": {"/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3,"prms":[{"req":{"luts":1}}]}`},
+		"malformed JSON":   {"/v1/prr", `{"device":`},
+		"no device":        {"/v1/prr", `{"prms":[{"req":{"luts":1}}]}`},
+		"unknown device":   {"/v1/prr", `{"device":"XC0FAKE","prms":[{"req":{"luts":1}}]}`},
+		"empty batch":      {"/v1/bitstream", `{"device":"XC6VLX75T","items":[]}`},
+		"both workloads":   {"/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3,"prms":[{"req":{"luts":1}}]}`},
+		"negative workers": {"/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3,"options":{"workers":-1}}`},
 	} {
 		resp, raw := post(t, ts, tc.path, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/device"
 	"repro/internal/dse"
@@ -29,8 +28,6 @@ type CoExploreConfig struct {
 	Mix Mix
 	// Estimator prices ICAP transfers for both the explorer and the runs.
 	Estimator icap.Estimator
-	// CaptureOverhead is passed through to each run's Config.
-	CaptureOverhead time.Duration
 	// SnapshotEvery is passed through to each run's Config.
 	SnapshotEvery int
 	// BB configures the branch-and-bound exploration of the design space.
@@ -152,11 +149,10 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 		dp := front[orgs[oi]]
 		pol := policies[pi]
 		run := Config{
-			Platform:        plat,
-			Policy:          pol,
-			Estimator:       est,
-			CaptureOverhead: cfg.CaptureOverhead,
-			SnapshotEvery:   cfg.SnapshotEvery,
+			Platform:      plat,
+			Policy:        pol,
+			Estimator:     est,
+			SnapshotEvery: cfg.SnapshotEvery,
 		}
 		var visit func(Snapshot) bool
 		if snap != nil {

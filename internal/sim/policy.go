@@ -52,9 +52,6 @@ func (v *View) SaveTime(slot int) time.Duration { return v.en.saveDur[slot] }
 // RestoreTime is the ICAP occupancy of a context restore into the slot.
 func (v *View) RestoreTime(slot int) time.Duration { return v.en.restoreDur[slot] }
 
-// CaptureOverhead is the fixed settle time charged before a context save.
-func (v *View) CaptureOverhead() time.Duration { return v.en.cfg.CaptureOverhead }
-
 // Action is one scheduling decision: start Ready[Ready] on Slot, preempting
 // the running task when Preempt is set. The engine validates every action;
 // an invalid one ends the dispatch round.
@@ -218,7 +215,7 @@ func (ReconfigAware) Decide(v *View) (Action, bool) {
 			case sv.State == SlotIdle:
 				cost = startCost(s)
 			case sv.State == SlotRunning && sv.Priority < r.Priority:
-				cost = v.CaptureOverhead() + v.SaveTime(s) + startCost(s)
+				cost = DefaultCaptureOverhead + v.SaveTime(s) + startCost(s)
 				pre = true
 				if r.Remaining <= cost {
 					continue // the eviction costs more than the job is worth

@@ -10,9 +10,9 @@ import (
 	"repro/internal/icap"
 )
 
-// DefaultCaptureOverhead is the fixed GCAPTURE settle time charged before a
-// context-save transfer when Config.CaptureOverhead is zero. It matches the
-// order of magnitude used by the context-switch examples.
+// DefaultCaptureOverhead is the fixed GCAPTURE settle time charged before
+// every context-save transfer. It matches the order of magnitude used by the
+// context-switch examples.
 const DefaultCaptureOverhead = 2 * time.Microsecond
 
 // SlotState is a PRR slot's run-time state in the event loop.
@@ -76,9 +76,6 @@ type Config struct {
 	// Estimator converts transfer byte volumes into ICAP occupancy time.
 	// Nil defaults to the 32-bit ICAP fed from DDR SDRAM.
 	Estimator icap.Estimator
-	// CaptureOverhead is the fixed settle time before a context save; zero
-	// defaults to DefaultCaptureOverhead.
-	CaptureOverhead time.Duration
 	// SnapshotEvery emits a progress Snapshot every that many completions
 	// (plus one final snapshot). Zero emits only the final snapshot.
 	SnapshotEvery int
@@ -356,9 +353,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job, visit func(Snapshot) bool)
 	if cfg.Estimator == nil {
 		cfg.Estimator = icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}
 	}
-	if cfg.CaptureOverhead <= 0 {
-		cfg.CaptureOverhead = DefaultCaptureOverhead
-	}
 
 	en := enginePool.Get().(*engine)
 	defer en.release()
@@ -596,7 +590,7 @@ func (en *engine) preempt(now time.Duration, si int, rj readyJob) {
 	sl.busy += executed
 	en.preemptions++
 	metPreemptions.Inc()
-	en.xfer(now+en.cfg.CaptureOverhead, en.saveDur[si], si)
+	en.xfer(now+DefaultCaptureOverhead, en.saveDur[si], si)
 	en.ready = append(en.ready, readyJob{job: victim.job, remaining: rem, restore: true})
 	// The victim's completion event dies by seq mismatch; the slot loads
 	// the preemptor next.

@@ -47,10 +47,9 @@ func testPlatform() Platform {
 
 func testConfig(p Policy) Config {
 	return Config{
-		Platform:        testPlatform(),
-		Policy:          p,
-		Estimator:       nsPerByte(1),
-		CaptureOverhead: 2 * time.Microsecond,
+		Platform:  testPlatform(),
+		Policy:    p,
+		Estimator: nsPerByte(1),
 	}
 }
 
@@ -172,8 +171,7 @@ func TestPreemptionQueuesBehindTransfer(t *testing.T) {
 	plat.PRRs = plat.PRRs[:1] // single slot forces the conflict
 	plat.PRMs[0].Compat = []int{0}
 	plat.PRMs[1].Compat = []int{0}
-	cfg := Config{Platform: plat, Policy: PreemptPriority{},
-		Estimator: nsPerByte(1), CaptureOverhead: 2 * time.Microsecond}
+	cfg := Config{Platform: plat, Policy: PreemptPriority{}, Estimator: nsPerByte(1)}
 	load := 100 * time.Microsecond
 	save := 50 * time.Microsecond
 	restore := 110 * time.Microsecond
