@@ -13,17 +13,23 @@ const cacheShards = 16
 
 // lruCache is a bounded, sharded LRU of serialized responses. Each shard
 // holds its own lock, map and recency list; a key's shard is its maphash, so
-// canonical request hashes spread uniformly.
+// canonical request hashes spread uniformly. Every shard is bounded twice:
+// by its share of the entry cap and by its share of DefaultCacheBytes,
+// counting each entry's key and response bytes. A full-size /v1/prr batch
+// reply is ~260 KB, so the entry cap alone would let 4,096 of them pin a
+// gigabyte.
 type lruCache struct {
 	seed   maphash.Seed
 	shards [cacheShards]lruShard
 }
 
 type lruShard struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recent
-	items map[string]*list.Element
+	mu       sync.Mutex
+	cap      int // entries
+	maxBytes int
+	bytes    int        // key and response bytes held
+	ll       *list.List // front = most recent
+	items    map[string]*list.Element
 }
 
 type lruEntry struct {
@@ -31,8 +37,9 @@ type lruEntry struct {
 	val []byte
 }
 
-// newLRUCache bounds the cache at totalEntries across all shards.
-// totalEntries <= 0 disables caching (every Get misses, Put drops).
+// newLRUCache bounds the cache at totalEntries and DefaultCacheBytes across
+// all shards. totalEntries <= 0 disables caching (every Get misses, Put
+// drops).
 func newLRUCache(totalEntries int) *lruCache {
 	c := &lruCache{seed: maphash.MakeSeed()}
 	per := 0
@@ -42,6 +49,7 @@ func newLRUCache(totalEntries int) *lruCache {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.cap = per
+		s.maxBytes = DefaultCacheBytes / cacheShards
 		s.ll = list.New()
 		s.items = make(map[string]*list.Element)
 	}
@@ -66,7 +74,8 @@ func (c *lruCache) Get(key string) ([]byte, bool) {
 }
 
 // Put inserts (or refreshes) the response and returns how many entries the
-// shard evicted to stay within its bound.
+// shard evicted to stay within both its bounds. A response too large for a
+// shard's byte budget is not cached.
 func (c *lruCache) Put(key string, val []byte) (evicted int) {
 	s := c.shard(key)
 	if s.cap <= 0 {
@@ -75,18 +84,26 @@ func (c *lruCache) Put(key string, val []byte) (evicted int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		el.Value.(*lruEntry).val = val
-		s.ll.MoveToFront(el)
+		s.remove(el)
+	}
+	size := len(key) + len(val)
+	if size > s.maxBytes {
 		return 0
 	}
 	s.items[key] = s.ll.PushFront(&lruEntry{key: key, val: val})
-	for s.ll.Len() > s.cap {
-		old := s.ll.Back()
-		s.ll.Remove(old)
-		delete(s.items, old.Value.(*lruEntry).key)
+	s.bytes += size
+	for s.ll.Len() > s.cap || s.bytes > s.maxBytes {
+		s.remove(s.ll.Back())
 		evicted++
 	}
 	return evicted
+}
+
+// remove drops one entry from the shard; the caller holds s.mu.
+func (s *lruShard) remove(el *list.Element) {
+	e := s.ll.Remove(el).(*lruEntry)
+	delete(s.items, e.key)
+	s.bytes -= len(e.key) + len(e.val)
 }
 
 // Len is the current entry count across shards.

@@ -50,6 +50,52 @@ func TestLRUEvictionBound(t *testing.T) {
 	}
 }
 
+// heldBytes sums the key and response bytes the cache holds, walking the
+// shards' recency lists rather than trusting the cache's own accounting.
+func heldBytes(c *lruCache) int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for el := s.ll.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*lruEntry)
+			n += len(e.key) + len(e.val)
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// TestLRUByteBound: a default-size cache filled with maximum-size replies
+// (a 1024-item /v1/prr batch measured 262,946 bytes) stays within
+// DefaultCacheBytes by evicting, instead of pinning 4,096 of them. A reply
+// larger than a shard's byte budget is not cached at all.
+func TestLRUByteBound(t *testing.T) {
+	c := newLRUCache(DefaultCacheEntries)
+	reply := make([]byte, 262946) // shared: the test itself stays small
+	evicted := 0
+	for i := 0; i < DefaultCacheEntries; i++ {
+		evicted += c.Put(fmt.Sprintf("prr@%064x", i), reply)
+		if held := heldBytes(c); held > DefaultCacheBytes {
+			t.Fatalf("after %d puts the cache holds %d bytes, bound is %d", i+1, held, DefaultCacheBytes)
+		}
+	}
+	if evicted == 0 || c.Len()+evicted != DefaultCacheEntries {
+		t.Errorf("%d entries held, %d evicted, from %d puts", c.Len(), evicted, DefaultCacheEntries)
+	}
+	if _, ok := c.Get(fmt.Sprintf("prr@%064x", DefaultCacheEntries-1)); !ok {
+		t.Error("the most recent reply was not cached")
+	}
+
+	huge := make([]byte, DefaultCacheBytes/cacheShards+1)
+	if ev := c.Put("huge", huge); ev != 0 {
+		t.Errorf("an uncacheable reply evicted %d entries", ev)
+	}
+	if _, ok := c.Get("huge"); ok {
+		t.Error("a reply larger than a shard's byte budget was cached")
+	}
+}
+
 // TestLRURecency: within one shard, touching an entry protects it from the
 // next eviction.
 func TestLRURecency(t *testing.T) {

@@ -21,7 +21,8 @@ import (
 // fields are capacities and policies, not wiring.
 type Config struct {
 	// CacheEntries bounds the response cache across all shards.
-	// 0 means DefaultCacheEntries; negative disables caching.
+	// 0 means DefaultCacheEntries; negative disables caching. The cache
+	// also holds at most DefaultCacheBytes of keys and responses.
 	CacheEntries int
 	// MaxInflight caps concurrently admitted requests. 0 means
 	// DefaultMaxInflight; negative disables the cap.
@@ -65,9 +66,11 @@ func DefaultObjectives() []obs.Objective {
 	}
 }
 
-// Defaults for the zero Config.
+// Defaults for the zero Config. DefaultCacheBytes is not configurable: it
+// bounds the response cache's memory whatever its entry cap.
 const (
 	DefaultCacheEntries = 4096
+	DefaultCacheBytes   = 64 << 20
 	DefaultMaxInflight  = 256
 )
 
