@@ -20,11 +20,12 @@
 // partitions.
 //
 // The engine additionally memoizes group pricings by (signature-class
-// composition, placed-region multiset) — the orbit-level collapse that makes
-// duplicate-heavy walks interactive. Each walk (the root walk and every
-// subtree worker) keeps its own memo, so the memo line's entries count what
-// the walks stored: one per miss. -memo off disables it for A/B measurement
-// (the front is bit-identical either way).
+// composition, placed-region multiset) on every exploration, duplicate-heavy
+// or all-distinct. Each walk (the root walk and every subtree worker) keeps
+// its own memo, so the memo line's entries count what the walks stored: one
+// per miss until the walks fill the exploration's fixed entry budget, after
+// which misses are priced without being stored. -memo off disables it for
+// A/B measurement (the front is bit-identical either way).
 //
 // Observability: -metrics-addr serves Prometheus text at /metrics (plus
 // expvar, and pprof with -pprof), -trace-out writes nested spans as JSON

@@ -22,15 +22,28 @@ type SharedResult struct {
 // resource, the largest column count across the PRMs; the merged mix must
 // itself admit a contiguous window.
 func (m *PRRModel) EstimateShared(reqs []Requirements) (SharedResult, error) {
-	if len(reqs) == 0 {
-		return SharedResult{}, fmt.Errorf("core: no PRMs for shared PRR")
-	}
 	var res SharedResult
+	if err := m.EstimateSharedInto(reqs, &res); err != nil {
+		return SharedResult{}, err
+	}
+	return res, nil
+}
+
+// EstimateSharedInto is EstimateShared writing into res, reusing the
+// capacity of its PerPRM and SharedRU slices: a caller that prices many
+// groups keeps one SharedResult and allocates nothing once the slices have
+// grown. On error res holds partial results and must not be read.
+func (m *PRRModel) EstimateSharedInto(reqs []Requirements, res *SharedResult) error {
+	if len(reqs) == 0 {
+		return fmt.Errorf("core: no PRMs for shared PRR")
+	}
+	res.PerPRM = res.PerPRM[:0]
+	res.SharedRU = res.SharedRU[:0]
 	merged := Organization{}
 	for i, req := range reqs {
 		r, err := m.Estimate(req)
 		if err != nil {
-			return SharedResult{}, fmt.Errorf("core: PRM %d: %w", i, err)
+			return fmt.Errorf("core: PRM %d: %w", i, err)
 		}
 		res.PerPRM = append(res.PerPRM, r)
 		if r.Org.H > merged.H {
@@ -51,7 +64,7 @@ func (m *PRRModel) EstimateShared(reqs []Requirements) (SharedResult, error) {
 	}
 	reg, ok := floorplan.FindWindow(&m.Device.Fabric, merged.H, merged.Need(), m.Avoid...)
 	if !ok {
-		return SharedResult{}, fmt.Errorf("core: merged PRR %dx%v has no feasible window on %s",
+		return fmt.Errorf("core: merged PRR %dx%v has no feasible window on %s",
 			merged.H, merged.Need(), m.Device.Name)
 	}
 	merged.Region = reg
@@ -60,5 +73,5 @@ func (m *PRRModel) EstimateShared(reqs []Requirements) (SharedResult, error) {
 	for _, r := range res.PerPRM {
 		res.SharedRU = append(res.SharedRU, utilization(r.Req, r.Org.CLBReq, res.Avail))
 	}
-	return res, nil
+	return nil
 }

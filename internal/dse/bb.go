@@ -31,13 +31,16 @@ type BBOptions struct {
 	// requirement signature; SymmetryOff explores the full space.
 	Symmetry SymmetryMode
 	// Memo selects the composition-keyed group-pricing memo (see MemoMode).
-	// The default, MemoAuto, memoizes whenever two PRMs share a requirement
-	// signature; MemoOff prices every tree edge with the cost models.
+	// The default, MemoAuto, memoizes every exploration, within a fixed entry
+	// budget; MemoOff prices every tree edge with the cost models.
 	Memo MemoMode
 	// splitDepth is the RGS depth at which the walk hands its subtrees to the
 	// workers; 0 picks autoSplitDepth. Only tests set it, to pin that the
 	// search counters do not depend on it.
 	splitDepth int
+	// memoBudget overrides the memo's entry budget; 0 means memoBudget. Only
+	// tests set it, to pin that a full memo changes no output.
+	memoBudget int
 }
 
 // BBStats reports what the branch-and-bound run did. Partitions always
@@ -79,15 +82,17 @@ type BBStats struct {
 	// it is a function of the input; with more workers it follows the order
 	// their jobs add points in.
 	MaxResident int64
-	// MemoHits / MemoMisses count group-pricing memo lookups (0 with MemoOff
-	// or when every signature is distinct). Every tree edge does exactly one
-	// lookup, so MemoHits+MemoMisses equals GroupPricings on memoized runs —
-	// the memo changes where prices come from, never how many are needed.
+	// MemoHits / MemoMisses count group-pricing memo lookups (0 with
+	// MemoOff). Every tree edge does exactly one lookup, so
+	// MemoHits+MemoMisses equals GroupPricings on memoized runs — the memo
+	// changes where prices come from, never how many are needed.
 	MemoHits   int64
 	MemoMisses int64
 	// MemoEntries is the number of (composition, avoid-multiset) evaluations
-	// the walks stored: each walk keeps its own memo and stores one entry per
-	// miss, so it equals MemoMisses. A key two walks both priced counts twice.
+	// the walks stored; a key two walks both priced counts twice. Each walk
+	// stores one entry per miss until its share of the exploration's entry
+	// budget is full, so MemoEntries equals MemoMisses exactly when no walk
+	// filled its share, and otherwise stays within the budget.
 	MemoEntries int64
 }
 
@@ -226,9 +231,11 @@ type bbState struct {
 	saveEvalsBuf  []groupEval
 	savePlacedBuf []floorplan.Region
 	// msc holds the memo key encoder's scratch buffers; memo is this walk's
-	// own pricing memo (see memo.go).
+	// own pricing memo (see memo.go); psc is the scratch the cost models
+	// price a memo miss (or, memo off, every edge) into.
 	msc  memoScratch
 	memo groupMemo
+	psc  priceScratch
 
 	// local counters, summed into BBStats once every walk has finished
 	evaluated, prunedFit, prunedDom, collapsed, pricings int64
@@ -238,7 +245,8 @@ type bbState struct {
 // newBBState allocates a walk whose DFS state is preallocated at n×n scale,
 // so the walk itself never allocates: the members matrix, the priced-group
 // stacks, the bound stacks, and the per-depth save/restore rows (see rec).
-func newBBState(r *bbRun) *bbState {
+// memoCap is the most entries the walk's memo stores.
+func newBBState(r *bbRun, memoCap int) *bbState {
 	n := r.n
 	s := &bbState{
 		run:           r,
@@ -255,7 +263,7 @@ func newBBState(r *bbRun) *bbState {
 		savePlacedBuf: make([]floorplan.Region, n*n),
 	}
 	if r.memo {
-		s.memo = newGroupMemo()
+		s.memo = newGroupMemo(memoCap)
 	}
 	return s
 }
@@ -269,7 +277,7 @@ func (s *bbState) tally(st *BBStats) {
 	st.GroupPricings += s.pricings
 	st.MemoHits += s.memoHits
 	st.MemoMisses += s.memoMisses
-	st.MemoEntries += int64(len(s.memo.feas) + len(s.memo.inf))
+	st.MemoEntries += int64(s.memo.entries())
 }
 
 // reprice re-derives the priced-group stack from group `from` on, stopping
@@ -675,11 +683,10 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 
 	ct := classifyPRMs(prms)
 	sym := opts.Symmetry == SymmetryAuto && ct.hasDuplicates()
-	// The memo pays off exactly when compositions can recur, i.e. when some
-	// signature class holds ≥2 PRMs — the same condition as the symmetry
-	// collapse, but controlled independently (the memo also accelerates
-	// SymmetryOff walks over duplicate-heavy workloads).
-	memoOn := opts.Memo == MemoAuto && ct.hasDuplicates() &&
+	// Group states recur across partitions whether or not two PRMs share a
+	// signature (see memo.go), so the memo runs on every exploration whose
+	// key it can encode.
+	memoOn := opts.Memo == MemoAuto &&
 		memoSupported(ct.classes(), e.Device.Fabric.Rows, len(e.Device.Fabric.Columns))
 	metSymClasses.Add(int64(ct.classes()))
 
@@ -712,13 +719,22 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 	start := time.Now()
 	workers = min(workers, bellNumber(k))
 	run.jobCh = make(chan *bbJob)
+	// The root walk only prices the prefixes above the split depth (a few
+	// thousand edges at 64 workers), so it gets 1/64 of the memo budget and
+	// the workers split the rest evenly.
+	budget := opts.memoBudget
+	if budget <= 0 {
+		budget = memoBudget
+	}
+	rootCap := budget / 64
+	workerCap := (budget - rootCap) / workers
 	walks := make([]*bbState, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := range walks {
 		// The walk, and its memo, lives for the worker's whole job stream, so
 		// entries learned in one subtree stay warm for the next.
-		s := newBBState(run)
+		s := newBBState(run, workerCap)
 		s.front = run.front
 		walks[w] = s
 		go func() {
@@ -740,7 +756,7 @@ func (e *Explorer) exploreBB(ctx context.Context, prms []PRM, opts BBOptions, pa
 			wspan.SetAttr("subtree_jobs", done)
 		}()
 	}
-	root := newBBState(run)
+	root := newBBState(run, rootCap)
 	root.split = k
 	root.rec(0, 0, 0, 200)
 	close(run.jobCh)

@@ -56,8 +56,9 @@ func (e *Explorer) Evaluate(prms []PRM, groups [][]int) DesignPoint {
 	dp := DesignPoint{Groups: groups, Feasible: true, MinRU: 100}
 	bit := core.NewBitstreamModel(e.Device.Params)
 	placed := make([]floorplan.Region, 0, len(groups))
+	var sc priceScratch
 	for _, g := range groups {
-		ev := e.priceGroup(prms, g, placed, bit)
+		ev := e.priceGroup(prms, g, placed, bit, &sc)
 		if !ev.feasible {
 			dp.Feasible = false
 			dp.Infeasibility = ev.errMsg
@@ -77,18 +78,26 @@ func (e *Explorer) Evaluate(prms []PRM, groups [][]int) DesignPoint {
 	return dp
 }
 
+// priceScratch holds the buffers priceGroup prices into. A walk keeps one
+// for its whole life, so once the slices have grown a feasible pricing
+// allocates nothing; only an infeasible one builds its error text.
+type priceScratch struct {
+	reqs   []core.Requirements
+	shared core.SharedResult
+}
+
 // priceGroup sizes one shared PRR for the PRM group against the already-
 // placed regions and reduces the model outputs to what a design point needs.
-func (e *Explorer) priceGroup(prms []PRM, g []int, placed []floorplan.Region, bit core.BitstreamModel) groupEval {
-	reqs := make([]core.Requirements, len(g))
-	for i, idx := range g {
-		reqs[i] = prms[idx].Req
+func (e *Explorer) priceGroup(prms []PRM, g []int, placed []floorplan.Region, bit core.BitstreamModel, sc *priceScratch) groupEval {
+	sc.reqs = sc.reqs[:0]
+	for _, idx := range g {
+		sc.reqs = append(sc.reqs, prms[idx].Req)
 	}
-	m := &core.PRRModel{Device: e.Device, Avoid: placed}
-	shared, err := m.EstimateShared(reqs)
-	if err != nil {
+	m := core.PRRModel{Device: e.Device, Avoid: placed}
+	if err := m.EstimateSharedInto(sc.reqs, &sc.shared); err != nil {
 		return groupEval{errMsg: err.Error()}
 	}
+	shared := &sc.shared
 	ev := groupEval{
 		feasible: true,
 		region:   shared.Org.Region,

@@ -101,8 +101,8 @@ func BenchmarkExploreParetoBBDup(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(stats.CollapsedSymmetry)/float64(stats.Partitions), "collapsed-frac")
 			b.ReportMetric(float64(stats.Evaluated), "evaluated")
-			// Guard the ratio: a memo-off or all-distinct run has zero
-			// lookups, and 0/0 would emit NaN into the benchmark line.
+			// Guard the ratio: a memo-off run has zero lookups, and 0/0
+			// would emit NaN into the benchmark line.
 			if lookups := stats.MemoHits + stats.MemoMisses; lookups > 0 {
 				b.ReportMetric(float64(stats.MemoHits)/float64(lookups), "memo-hit-rate")
 			}
@@ -110,13 +110,15 @@ func BenchmarkExploreParetoBBDup(b *testing.B) {
 	}
 }
 
-// BenchmarkMemoHit isolates the memo's hit path — canonical key build plus
-// map read — the operation an n=20-scale walk performs hundreds of
-// millions of times. The allocs/op it reports must stay 0 (gated in CI).
-func BenchmarkMemoHit(b *testing.B) {
+// pricingWalk builds a bare walk over DuplicatePRMs(6, 2) on the XC6VLX75T
+// with the memo on and room for memoCap entries, and the two-group partition
+// {0,1}{2,3} whose group 0 is already priced and placed: priceEdge(1) then
+// prices a feasible group against one avoid region.
+func pricingWalk(tb testing.TB, memoCap int) *bbState {
+	tb.Helper()
 	dev, err := device.Lookup("XC6VLX75T")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e := &Explorer{Device: dev, Estimator: icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}}
 	prms := DuplicatePRMs(6, 2)
@@ -129,15 +131,25 @@ func BenchmarkMemoHit(b *testing.B) {
 		classOf: ct.classOf,
 		memo:    true,
 	}
-	s := &bbState{run: r, memo: newGroupMemo()}
+	s := &bbState{run: r, memo: newGroupMemo(memoCap)}
 	s.members = [][]int{{0, 1}, {2, 3}}
 	s.placed = make([]floorplan.Region, 2)
 	ev := s.priceEdge(0)
 	if !ev.feasible {
-		b.Fatalf("warmup pricing infeasible: %s", ev.errMsg)
+		tb.Fatalf("warmup pricing infeasible: %s", ev.errMsg)
 	}
 	s.placed[0] = ev.region
-	s.priceEdge(1) // store the entry, grow the scratch buffers
+	if ev := s.priceEdge(1); !ev.feasible { // grow the scratch buffers
+		tb.Fatalf("group 1 infeasible: %s", ev.errMsg)
+	}
+	return s
+}
+
+// BenchmarkMemoHit isolates the memo's hit path — canonical key build plus
+// map read — the operation an n=20-scale walk performs hundreds of
+// millions of times. The allocs/op it reports must stay 0 (gated in CI).
+func BenchmarkMemoHit(b *testing.B) {
+	s := pricingWalk(b, memoBudget)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -146,5 +158,22 @@ func BenchmarkMemoHit(b *testing.B) {
 	b.StopTimer()
 	if s.memoHits == 0 {
 		b.Fatal("benchmark loop never hit the memo")
+	}
+}
+
+// BenchmarkPriceGroupMiss isolates the memo's miss path: key build, two map
+// reads and one feasible group priced by the cost models into the walk's
+// scratch. The memo has no room, so every pricing misses. The allocs/op it
+// reports must stay 0 (gated in CI).
+func BenchmarkPriceGroupMiss(b *testing.B) {
+	s := pricingWalk(b, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.priceEdge(1)
+	}
+	b.StopTimer()
+	if s.memoHits != 0 || s.memo.entries() != 0 {
+		b.Fatalf("a memo with no room served %d hits from %d entries", s.memoHits, s.memo.entries())
 	}
 }

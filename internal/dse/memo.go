@@ -7,9 +7,8 @@ import (
 
 // Orbit-level group-pricing memo.
 //
-// PR 6 collapsed the branch-and-bound walk from partitions to fibers: one
-// canonical representative per ordered sequence of per-group class
-// compositions. The orbit count sits well below that (6,721 orbits vs
+// The symmetry collapse walks one canonical representative per fiber (see
+// mrgs.go). The orbit count sits well below that (6,721 orbits vs
 // 374,760 fibers at n=12/k=3) because many fibers differ only in which
 // groups carry which composition and in what order earlier groups were
 // placed. The memo converts that residual redundancy into lookups: a group's
@@ -22,7 +21,12 @@ import (
 // (order- and identity-free) and the window search rejects candidates by
 // overlap against the avoid *set* (core.RegionLess documents that
 // envelope). The fabric is fixed per exploration — each memo lives inside
-// one exploration's walks — so fabric identity never needs encoding.
+// one exploration's walks — so fabric identity never needs encoding. The
+// argument does not need two PRMs to share a signature: with all-distinct
+// PRMs each class holds one PRM, and the same (group, placed-region set)
+// state still recurs across the many partitions that differ only in how
+// the other PRMs are grouped. The memo therefore runs on every exploration
+// whose key it can encode (memoSupported).
 //
 // Every walk owns its memo outright: the root walk that carves the subtree
 // jobs keeps one, and each worker keeps one across all the jobs it drains.
@@ -31,6 +35,11 @@ import (
 // may each price the same key once; at one worker the root walk and the
 // worker share almost no keys (3 of 19,783 lookups on DuplicatePRMs(12, 3)),
 // so a shared tier would only add hashing and locking to every miss.
+//
+// The memos of one exploration hold at most memoBudget entries together,
+// whatever the worker count: each walk gets a fixed share (see exploreBB)
+// and stops storing once its share is full. Later misses are still priced by
+// the cost models, so a full memo costs speed, never exactness.
 //
 // Infeasible outcomes carry one order-dependent artifact: EstimateShared's
 // error names the in-group index of the first member that failed ("core:
@@ -47,14 +56,21 @@ import (
 type MemoMode int
 
 const (
-	// MemoAuto enables the memo whenever at least two PRMs share a
-	// requirement signature — the only case where compositions recur — and
-	// is a no-op otherwise. Results are bit-identical either way, so auto is
-	// safe as the default.
+	// MemoAuto memoizes every exploration whose key the memo can encode
+	// (memoSupported: fewer than 255 signature classes and fabric
+	// coordinates that fit 16 bits, far beyond any explorable input).
+	// Results are bit-identical either way, so auto is safe as the default.
 	MemoAuto MemoMode = iota
 	// MemoOff prices every tree edge with the cost models.
 	MemoOff
 )
+
+// memoBudget is the most entries the memos of one exploration hold
+// together, at any worker count. At roughly 270 bytes an entry it bounds
+// the memos near 35 MiB. It is sized so that the largest duplicate workload
+// the CI gates, DuplicatePRMs(20, 5) at one worker (109,061 misses), never
+// fills its walk's share.
+const memoBudget = 1 << 17
 
 // groupMemo is one walk's pricing memo: the root walk and every worker own
 // one for their whole life, so entries learned in one subtree job stay warm
@@ -62,15 +78,20 @@ const (
 // sorted-composition key, inf by the ordered-composition key (the two key
 // families are kept in separate maps precisely so an ordered key can never
 // collide with another composition's canonical form). Keys index into the
-// run's class table, so a memo is never reused across runs.
+// run's class table, so a memo is never reused across runs. The two tables
+// hold at most limit entries together.
 type groupMemo struct {
-	feas map[string]groupEval
-	inf  map[string]groupEval
+	feas  map[string]groupEval
+	inf   map[string]groupEval
+	limit int
 }
 
-func newGroupMemo() groupMemo {
-	return groupMemo{feas: make(map[string]groupEval), inf: make(map[string]groupEval)}
+func newGroupMemo(limit int) groupMemo {
+	return groupMemo{feas: make(map[string]groupEval), inf: make(map[string]groupEval), limit: limit}
 }
+
+// entries is the number of evaluations the memo holds.
+func (m *groupMemo) entries() int { return len(m.feas) + len(m.inf) }
 
 // memoKeySep separates the composition half of a key from the region half.
 // Class ids are encoded as single bytes strictly below it (memoSupported
@@ -164,14 +185,16 @@ func (sc *memoScratch) orderedKey(members, classOf []int) []byte {
 // priceEdge prices one tree edge's group — the branch-and-bound engine's
 // work unit — consulting the walk's memo when the run has one. Map reads via
 // m[string(key)] are compiler-optimized to skip the string conversion, so
-// hits allocate nothing. The stats contract: pricings counts every edge (hit
-// or miss) so GroupPricings is identical memo-on and memo-off; hits+misses
-// equals pricings on memo-on runs, and every miss stores one entry.
+// hits allocate nothing, and a miss prices into the walk's scratch. The
+// stats contract: pricings counts every edge (hit or miss) so GroupPricings
+// is identical memo-on and memo-off; hits+misses equals pricings on memo-on
+// runs, and every miss stores one entry until the walk's share of the
+// budget is full.
 func (s *bbState) priceEdge(g int) groupEval {
 	r := s.run
 	s.pricings++
 	if !r.memo {
-		return r.e.priceGroup(r.prms, s.members[g], s.placed[:g], r.bit)
+		return r.e.priceGroup(r.prms, s.members[g], s.placed[:g], r.bit, &s.psc)
 	}
 	ck := s.msc.canonicalKey(s.members[g], r.classOf, s.placed[:g])
 	if ev, ok := s.memo.feas[string(ck)]; ok {
@@ -184,7 +207,10 @@ func (s *bbState) priceEdge(g int) groupEval {
 		return ev
 	}
 	s.memoMisses++
-	ev := r.e.priceGroup(r.prms, s.members[g], s.placed[:g], r.bit)
+	ev := r.e.priceGroup(r.prms, s.members[g], s.placed[:g], r.bit, &s.psc)
+	if s.memo.entries() >= s.memo.limit {
+		return ev
+	}
 	if ev.feasible {
 		s.memo.feas[string(ck)] = ev
 	} else {

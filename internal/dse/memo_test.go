@@ -18,9 +18,9 @@ import (
 // and requires bit-for-bit identical fronts (points, order, tie-breaks) at
 // the default worker count, and identical stats modulo the memo counters
 // themselves at Workers 1: with more workers the walks share one front, so
-// the search counters follow scheduling. When the memo is expected to engage
-// (duplicate signatures), it also checks the lookup contract: every tree edge
-// does exactly one lookup, so hits+misses equals GroupPricings.
+// the search counters follow scheduling. When the memo is expected to engage,
+// it also checks the lookup contract: every tree edge does exactly one
+// lookup, so hits+misses equals GroupPricings.
 func checkMemoEquivalence(t *testing.T, e *Explorer, prms []PRM, wantActive bool) {
 	t.Helper()
 	ctx := context.Background()
@@ -44,7 +44,7 @@ func checkMemoEquivalence(t *testing.T, e *Explorer, prms []PRM, wantActive bool
 	}
 	if wantActive {
 		if onStats.MemoHits == 0 {
-			t.Errorf("memo never hit on a duplicate workload: %+v", onStats)
+			t.Errorf("memo never hit: %+v", onStats)
 		}
 		if got := onStats.MemoHits + onStats.MemoMisses; got != onStats.GroupPricings {
 			t.Errorf("hits+misses = %d, want GroupPricings = %d", got, onStats.GroupPricings)
@@ -128,48 +128,134 @@ func TestMemoMatchesMemoOffRandom(t *testing.T) {
 	}
 }
 
+// TestMemoMatchesMemoOffDistinct: all-distinct PRMs still repeat group
+// states across partitions, so the memo engages there too and must stay
+// exact. ConstrainedPRMs(11) mixes feasible and infeasible pricings on the
+// tight fabric.
+func TestMemoMatchesMemoOffDistinct(t *testing.T) {
+	checkMemoEquivalence(t, constrainedExplorer(), ConstrainedPRMs(11), true)
+}
+
+// collectPoints runs the callback engine and returns every delivered point
+// rendered with %+v, sorted: cross-subtree delivery order is unspecified,
+// but the multiset of points, Infeasibility text included, is not.
+func collectPoints(t *testing.T, e *Explorer, prms []PRM, opts BBOptions) ([]string, BBStats) {
+	t.Helper()
+	var pts []string
+	stats, err := e.ExploreBB(context.Background(), prms, opts, func(dp DesignPoint) bool {
+		pts = append(pts, fmt.Sprintf("%+v", dp))
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(pts)
+	return pts, stats
+}
+
 // TestMemoCallbackMatchesMemoOff: the callback engine must deliver the exact
 // same point multiset either way — including the Infeasibility strings, whose
 // in-group PRM index is order-dependent (the ordered-key table exists
-// precisely to reproduce them bit-for-bit).
+// precisely to reproduce them bit-for-bit). SyntheticPRMs(7) on the
+// XC6VLX75T is the streamed explore's shape: seven all-distinct PRMs, all
+// partitions feasible. On the XC5VLX110T the synthetic streams carry
+// infeasible points as well.
 func TestMemoCallbackMatchesMemoOff(t *testing.T) {
-	e := explorer(t, "XC6VLX75T")
-	prms := DuplicatePRMs(7, 2)
-	collect := func(opts BBOptions) []DesignPoint {
-		var pts []DesignPoint
-		if _, err := e.ExploreBB(context.Background(), prms, opts, func(dp DesignPoint) bool {
-			pts = append(pts, dp)
-			return true
-		}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		dev        string
+		prms       []PRM
+		infeasible bool // the stream must carry infeasible points
+	}{
+		{"XC6VLX75T", DuplicatePRMs(7, 2), false},
+		{"XC6VLX75T", SyntheticPRMs(7), false},
+		{"XC6VLX75T", SyntheticPRMs(9), false},
+		{"XC5VLX110T", SyntheticPRMs(7), true},
+		{"XC5VLX110T", SyntheticPRMs(9), true},
+	} {
+		name := fmt.Sprintf("%s/n=%d", tc.dev, len(tc.prms))
+		e := explorer(t, tc.dev)
+		// DisableFitPrune delivers infeasible leaves too, exercising errMsg.
+		on, stats := collectPoints(t, e, tc.prms, BBOptions{DisableFitPrune: true})
+		off, _ := collectPoints(t, e, tc.prms, BBOptions{DisableFitPrune: true, Memo: MemoOff})
+		if len(on) != len(off) {
+			t.Fatalf("%s: %d points memo-on vs %d memo-off", name, len(on), len(off))
 		}
-		sort.Slice(pts, func(i, j int) bool {
-			a, b := Describe(prms, pts[i]), Describe(prms, pts[j])
-			if a != b {
-				return a < b
+		for i := range on {
+			if on[i] != off[i] {
+				t.Fatalf("%s: point %d differs memo-on vs memo-off\n on  %s\noff %s", name, i, on[i], off[i])
 			}
-			return pts[i].Infeasibility < pts[j].Infeasibility
-		})
-		return pts
-	}
-	// DisableFitPrune delivers infeasible leaves too, exercising errMsg.
-	on := collect(BBOptions{DisableFitPrune: true})
-	off := collect(BBOptions{DisableFitPrune: true, Memo: MemoOff})
-	if !reflect.DeepEqual(on, off) {
-		t.Errorf("callback points differ memo-on vs memo-off (%d vs %d)", len(on), len(off))
+		}
+		if stats.MemoHits == 0 {
+			t.Errorf("%s: memo never hit: %+v", name, stats)
+		}
+		infeasible := 0
+		for _, p := range on {
+			if strings.Contains(p, "Feasible:false") {
+				infeasible++
+			}
+		}
+		if tc.infeasible && infeasible == 0 {
+			t.Errorf("%s: no infeasible points delivered; the ordered-key table went unexercised", name)
+		}
 	}
 }
 
-// TestMemoAutoGatesOnDuplicates: with all-distinct signatures no composition
-// can recur, so MemoAuto must stay inert (zero lookups, zero entries).
-func TestMemoAutoGatesOnDuplicates(t *testing.T) {
+// TestMemoEngagesOnDistinctPRMs: with all-distinct signatures the same
+// (group, placed-region set) state still recurs across partitions, so
+// MemoAuto must memoize and hit.
+func TestMemoEngagesOnDistinctPRMs(t *testing.T) {
 	e := explorer(t, "XC6VLX75T")
 	_, stats, err := e.ExploreParetoBB(context.Background(), SyntheticPRMs(6), BBOptions{DominancePrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.MemoHits != 0 || stats.MemoMisses != 0 || stats.MemoEntries != 0 {
-		t.Errorf("memo engaged on all-distinct PRMs: %+v", stats)
+	if stats.MemoHits == 0 || stats.MemoHits+stats.MemoMisses != stats.GroupPricings {
+		t.Errorf("memo inert on all-distinct PRMs: %+v", stats)
+	}
+}
+
+// TestMemoBudgetExact: a memo that fills its budget stops storing but keeps
+// pricing, so the output stays bit-identical to MemoOff and the walks hold no
+// more entries than the budget, at any worker count.
+func TestMemoBudgetExact(t *testing.T) {
+	const budget = 100
+	ctx := context.Background()
+	ce := constrainedExplorer()
+	prms := ConstrainedPRMs(9)
+	wantFront, offStats, err := ce.ExploreParetoBB(ctx, prms, BBOptions{DominancePrune: true, Workers: 1, Memo: MemoOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		front, stats, err := ce.ExploreParetoBB(ctx, prms, BBOptions{DominancePrune: true, Workers: workers, memoBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(front, wantFront) {
+			t.Fatalf("workers=%d: budgeted front differs from memo-off", workers)
+		}
+		if stats.MemoEntries > budget || stats.MemoEntries >= stats.MemoMisses {
+			t.Errorf("workers=%d: %d entries from %d misses; want at most %d, budget reached",
+				workers, stats.MemoEntries, stats.MemoMisses, budget)
+		}
+		if workers == 1 {
+			stats.MemoHits, stats.MemoMisses, stats.MemoEntries = 0, 0, 0
+			if stats != offStats {
+				t.Errorf("budgeted stats differ beyond the memo counters\n got  %+v\nwant %+v", stats, offStats)
+			}
+		}
+	}
+
+	e := explorer(t, "XC6VLX75T")
+	syn := SyntheticPRMs(8)
+	off, _ := collectPoints(t, e, syn, BBOptions{DisableFitPrune: true, Memo: MemoOff})
+	on, stats := collectPoints(t, e, syn, BBOptions{DisableFitPrune: true, memoBudget: budget})
+	if !reflect.DeepEqual(on, off) {
+		t.Error("budgeted point stream differs from memo-off")
+	}
+	if stats.MemoEntries > budget || stats.MemoHits == 0 {
+		t.Errorf("budgeted stream: %d entries, %d hits; want at most %d entries and some hits",
+			stats.MemoEntries, stats.MemoHits, budget)
 	}
 }
 
@@ -338,30 +424,23 @@ func TestMemoMetricsRegistered(t *testing.T) {
 // TestMemoHitNoAlloc: a memo hit — key build plus map read — must not
 // allocate; the hit path runs hundreds of millions of times in an n=20 walk.
 func TestMemoHitNoAlloc(t *testing.T) {
-	e := explorer(t, "XC6VLX75T")
-	prms := DuplicatePRMs(6, 2)
-	ct := classifyPRMs(prms)
-	r := &bbRun{
-		e:       e,
-		prms:    prms,
-		n:       len(prms),
-		bit:     core.NewBitstreamModel(e.Device.Params),
-		classOf: ct.classOf,
-		memo:    true,
-	}
-	s := &bbState{run: r, memo: newGroupMemo()}
-	s.members = [][]int{{0, 1}, {2, 3}}
-	s.placed = make([]floorplan.Region, 2)
-	ev := s.priceEdge(0) // miss: prices and stores
-	if !ev.feasible {
-		t.Fatalf("warmup pricing infeasible: %s", ev.errMsg)
-	}
-	s.placed[0] = ev.region
-	s.priceEdge(1) // miss: stores the entry and grows the scratch buffers
+	s := pricingWalk(t, memoBudget)
 	if allocs := testing.AllocsPerRun(200, func() { s.priceEdge(1) }); allocs != 0 {
 		t.Errorf("memo hit allocates %.1f objects per pricing", allocs)
 	}
 	if s.memoHits == 0 {
 		t.Fatal("repeat pricings never hit the memo")
+	}
+}
+
+// TestMemoMissNoAlloc: a feasible miss prices into the walk's scratch, so
+// once the scratch has grown it allocates nothing either.
+func TestMemoMissNoAlloc(t *testing.T) {
+	s := pricingWalk(t, 0)
+	if allocs := testing.AllocsPerRun(200, func() { s.priceEdge(1) }); allocs != 0 {
+		t.Errorf("memo miss allocates %.1f objects per pricing", allocs)
+	}
+	if s.memoHits != 0 {
+		t.Fatal("a memo with no room served a hit")
 	}
 }

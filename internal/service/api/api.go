@@ -215,7 +215,7 @@ type ExploreOptions struct {
 	// full partition walk.
 	Symmetry string `json:"symmetry,omitempty"`
 	// Memo selects the composition-keyed group-pricing memo: "" or "auto"
-	// memoizes whenever two PRMs share a requirement signature, "off" prices
+	// memoizes every exploration, within a fixed entry budget; "off" prices
 	// every tree edge with the cost models. The front is identical either way;
 	// only the work to compute it changes.
 	Memo string `json:"memo,omitempty"`
@@ -345,7 +345,8 @@ type ExploreStats struct {
 	OrbitsCollapsed int64 `json:"orbits_collapsed,omitempty"`
 	// MemoHits / MemoMisses count group-pricing memo lookups; MemoEntries is
 	// the number of evaluations the explorer's walks stored in their own
-	// memos, one per miss (all zero with the memo off or all-distinct PRMs).
+	// memos, one per miss until the exploration's fixed entry budget is full
+	// (all zero with the memo off).
 	MemoHits    int64 `json:"memo_hits,omitempty"`
 	MemoMisses  int64 `json:"memo_misses,omitempty"`
 	MemoEntries int64 `json:"memo_entries,omitempty"`
