@@ -1,7 +1,7 @@
 // Package client is the typed Go client of the costd cost-model service:
-// batch PRR and bitstream evaluation, device discovery, and NDJSON
-// exploration streaming, with retry/backoff that honors the server's
-// admission control (429 + Retry-After).
+// batch PRR and bitstream evaluation and NDJSON exploration and simulation
+// streaming, with retry/backoff that honors the server's admission control
+// (429 + Retry-After).
 package client
 
 import (
@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/service/api"
 )
@@ -86,11 +85,11 @@ func startOp(ctx context.Context, op string) (context.Context, *obs.Span) {
 	return ctx, span
 }
 
-// do issues one request with retry/backoff, returning the response with a
-// 2xx status. The caller owns resp.Body. Every attempt carries the context's
+// do POSTs the JSON body to path with retry/backoff, returning the response
+// with a 2xx status. The caller owns resp.Body. Every attempt carries the context's
 // trace position as a traceparent header; span (nil allowed) receives the
 // attempt count, so retries stay visible inside the per-call span.
-func (c *Client) do(ctx context.Context, span *obs.Span, method, path string, body []byte) (*http.Response, error) {
+func (c *Client) do(ctx context.Context, span *obs.Span, path string, body []byte) (*http.Response, error) {
 	maxRetries := c.MaxRetries
 	if maxRetries < 0 {
 		maxRetries = 0
@@ -101,17 +100,11 @@ func (c *Client) do(ctx context.Context, span *obs.Span, method, path string, bo
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
+		req.Header.Set("Content-Type", "application/json")
 		if c.ID != "" {
 			req.Header.Set("X-Client-ID", c.ID)
 		}
@@ -169,19 +162,8 @@ func readErrBody(r io.Reader) string {
 	return "(no error body)"
 }
 
-// getJSON / postJSON decode a whole-body JSON response into out under a span
-// named op ("client.<endpoint>").
-func (c *Client) getJSON(ctx context.Context, op, path string, out any) error {
-	ctx, span := startOp(ctx, op)
-	defer span.End()
-	resp, err := c.do(ctx, span, http.MethodGet, path, nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
+// postJSON decodes a whole-body JSON response into out under a span named op
+// ("client.<endpoint>").
 func (c *Client) postJSON(ctx context.Context, op, path string, in, out any) error {
 	ctx, span := startOp(ctx, op)
 	defer span.End()
@@ -189,33 +171,12 @@ func (c *Client) postJSON(ctx context.Context, op, path string, in, out any) err
 	if err != nil {
 		return err
 	}
-	resp, err := c.do(ctx, span, http.MethodPost, path, body)
+	resp, err := c.do(ctx, span, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// Health checks /healthz.
-func (c *Client) Health(ctx context.Context) error {
-	var out map[string]string
-	if err := c.getJSON(ctx, "client.health", "/healthz", &out); err != nil {
-		return err
-	}
-	if out["status"] != "ok" {
-		return fmt.Errorf("client: unhealthy: %v", out)
-	}
-	return nil
-}
-
-// Devices lists the server's device catalog.
-func (c *Client) Devices(ctx context.Context) ([]device.Descriptor, error) {
-	var out api.DevicesResponse
-	if err := c.getJSON(ctx, "client.devices", "/v1/devices", &out); err != nil {
-		return nil, err
-	}
-	return out.Devices, nil
 }
 
 // PRR batch-evaluates the PRR size/organization model.
@@ -287,7 +248,7 @@ func readStream[E, D any](c *Client, ctx context.Context, span *obs.Span, endpoi
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(ctx, span, http.MethodPost, "/v1/"+endpoint, body)
+	resp, err := c.do(ctx, span, "/v1/"+endpoint, body)
 	if err != nil {
 		return nil, err
 	}

@@ -29,6 +29,13 @@ func newServicePair(t *testing.T, cfg service.Config) (*service.Server, *Client)
 	return s, New(ts.URL)
 }
 
+// testPRR is a one-PRM batch. The fake servers below answer it with an empty
+// result list; real services evaluate it.
+var testPRR = &api.PRRRequest{
+	Device: "XC6VLX75T",
+	PRMs:   []api.PRM{{Name: "FIR", Req: api.Requirements{LUTFFPairs: 1300, LUTs: 1156, FFs: 889}}},
+}
+
 // TestRetryHonorsRetryAfter: a 429 with Retry-After delays the retry at least
 // that long, and the retried call succeeds.
 func TestRetryHonorsRetryAfter(t *testing.T) {
@@ -43,13 +50,13 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 			fmt.Fprint(w, `{"error":"overloaded, retry later"}`)
 		default:
 			retry = time.Now()
-			fmt.Fprint(w, `{"status":"ok"}`)
+			fmt.Fprint(w, `{"results":[]}`)
 		}
 	}))
 	t.Cleanup(ts.Close)
 
 	c := New(ts.URL)
-	if err := c.Health(context.Background()); err != nil {
+	if _, err := c.PRR(context.Background(), testPRR); err != nil {
 		t.Fatalf("retried call failed: %v", err)
 	}
 	if n := calls.Load(); n != 2 {
@@ -74,7 +81,7 @@ func TestRetryGivesUp(t *testing.T) {
 	c := New(ts.URL)
 	c.MaxRetries = 2
 	c.Backoff = time.Millisecond
-	err := c.Health(context.Background())
+	_, err := c.PRR(context.Background(), testPRR)
 	if err == nil {
 		t.Fatal("call against a permanently overloaded server succeeded")
 	}
@@ -97,7 +104,7 @@ func TestNoRetryOnClientError(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	c := New(ts.URL)
-	err := c.Health(context.Background())
+	_, err := c.PRR(context.Background(), testPRR)
 	if err == nil || !strings.Contains(err.Error(), "no such device") {
 		t.Fatalf("err = %v, want the server's message", err)
 	}
@@ -111,21 +118,7 @@ func TestNoRetryOnClientError(t *testing.T) {
 func TestClientAgainstService(t *testing.T) {
 	_, c := newServicePair(t, service.Config{})
 	ctx := context.Background()
-	if err := c.Health(ctx); err != nil {
-		t.Fatalf("Health: %v", err)
-	}
-	devs, err := c.Devices(ctx)
-	if err != nil {
-		t.Fatalf("Devices: %v", err)
-	}
-	if len(devs) == 0 {
-		t.Fatal("empty device catalog")
-	}
-
-	prr, err := c.PRR(ctx, &api.PRRRequest{
-		Device: devs[0].Name,
-		PRMs:   []api.PRM{{Name: "FIR", Req: api.Requirements{LUTFFPairs: 1300, LUTs: 1156, FFs: 889}}},
-	})
+	prr, err := c.PRR(ctx, testPRR)
 	if err != nil {
 		t.Fatalf("PRR: %v", err)
 	}
@@ -134,7 +127,7 @@ func TestClientAgainstService(t *testing.T) {
 	}
 
 	bit, err := c.Bitstream(ctx, &api.BitstreamRequest{
-		Device: devs[0].Name,
+		Device: testPRR.Device,
 		Items:  []api.Organization{{H: 1, WCLB: 4}},
 	})
 	if err != nil {
@@ -227,13 +220,13 @@ func TestClientAlwaysSendsTraceparent(t *testing.T) {
 			fmt.Fprint(w, `{"error":"overloaded, retry later"}`)
 			return
 		}
-		fmt.Fprint(w, `{"status":"ok"}`)
+		fmt.Fprint(w, `{"results":[]}`)
 	}))
 	t.Cleanup(ts.Close)
 
 	c := New(ts.URL)
 	c.Backoff = time.Millisecond
-	if err := c.Health(context.Background()); err != nil {
+	if _, err := c.PRR(context.Background(), testPRR); err != nil {
 		t.Fatal(err)
 	}
 	first, second := <-headers, <-headers
@@ -252,50 +245,104 @@ func TestClientAlwaysSendsTraceparent(t *testing.T) {
 
 // TestClientServiceSharedSpanTree: with tracers on both sides, one call
 // yields a client span and a service span in the same trace, the service span
-// parented under the client's, and the retry count on the client span.
+// parented under the client's, and the retry count on the client span. A
+// streamed explore carries the tree on into the engine: dse.bb under the
+// service span and one dse.bb.worker per engine worker under dse.bb.
 func TestClientServiceSharedSpanTree(t *testing.T) {
-	serverRing := obs.NewRingSink(64)
-	_, c := newServicePair(t, service.Config{Tracer: obs.NewTracer(serverRing)})
-	clientRing := obs.NewRingSink(64)
-	ctx := obs.WithTracer(context.Background(), obs.NewTracer(clientRing))
+	cases := []struct {
+		endpoint string
+		call     func(context.Context, *Client) error
+		workers  int // dse.bb.worker spans under dse.bb; 0: the call runs no engine
+	}{
+		{"prr", func(ctx context.Context, c *Client) error {
+			_, err := c.PRR(ctx, testPRR)
+			return err
+		}, 0},
+		{"explore", func(ctx context.Context, c *Client) error {
+			_, err := c.Explore(ctx, &api.ExploreRequest{
+				Device: "XC6VLX75T", SyntheticN: 6, Options: api.ExploreOptions{Workers: 2},
+			}, nil)
+			return err
+		}, 2},
+	}
+	find := func(spans []obs.SpanRecord, name string) *obs.SpanRecord {
+		for i := range spans {
+			if spans[i].Name == name {
+				return &spans[i]
+			}
+		}
+		return nil
+	}
+	for _, tc := range cases {
+		t.Run(tc.endpoint, func(t *testing.T) {
+			// One call records at most four server spans (service, dse.bb and
+			// two workers) and one client span; the rings hold them all.
+			serverRing := obs.NewRingSink(16)
+			_, c := newServicePair(t, service.Config{Tracer: obs.NewTracer(serverRing)})
+			clientRing := obs.NewRingSink(16)
+			ctx := obs.WithTracer(context.Background(), obs.NewTracer(clientRing))
+			if err := tc.call(ctx, c); err != nil {
+				t.Fatal(err)
+			}
 
-	if _, err := c.PRR(ctx, &api.PRRRequest{
-		Device: "XC6VLX75T",
-		PRMs:   []api.PRM{{Req: api.Requirements{LUTs: 500, FFs: 400}}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+			cl := find(clientRing.Snapshot(), "client."+tc.endpoint)
+			// A stream's service span ends after its done line is flushed, so
+			// the client can finish first.
+			var sspans []obs.SpanRecord
+			deadline := time.Now().Add(time.Second)
+			for {
+				sspans = serverRing.Snapshot()
+				if find(sspans, "service."+tc.endpoint) != nil || time.Now().After(deadline) {
+					break
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			sv := find(sspans, "service."+tc.endpoint)
+			if cl == nil || sv == nil {
+				t.Fatalf("missing spans: client=%v server=%v", cl != nil, sv != nil)
+			}
+			if cl.Trace != sv.Trace {
+				t.Errorf("client trace %s, server trace %s — not one tree", cl.Trace, sv.Trace)
+			}
+			if sv.Parent != cl.ID {
+				t.Errorf("service span parent %x, want the client span %x", sv.Parent, cl.ID)
+			}
+			attempts := -1
+			for _, a := range cl.Attrs {
+				if a.Key == "attempts" {
+					attempts, _ = a.Value.(int)
+				}
+			}
+			if attempts != 1 {
+				t.Errorf("client span attempts = %d, want 1", attempts)
+			}
+			if tc.workers == 0 {
+				return
+			}
 
-	var cl, sv *obs.SpanRecord
-	cspans := clientRing.Snapshot()
-	for i := range cspans {
-		if cspans[i].Name == "client.prr" {
-			cl = &cspans[i]
-		}
-	}
-	sspans := serverRing.Snapshot()
-	for i := range sspans {
-		if sspans[i].Name == "service.prr" {
-			sv = &sspans[i]
-		}
-	}
-	if cl == nil || sv == nil {
-		t.Fatalf("missing spans: client=%v server=%v", cl != nil, sv != nil)
-	}
-	if cl.Trace != sv.Trace {
-		t.Errorf("client trace %s, server trace %s — not one tree", cl.Trace, sv.Trace)
-	}
-	if sv.Parent != cl.ID {
-		t.Errorf("service span parent %x, want the client span %x", sv.Parent, cl.ID)
-	}
-	attempts := -1
-	for _, a := range cl.Attrs {
-		if a.Key == "attempts" {
-			attempts, _ = a.Value.(int)
-		}
-	}
-	if attempts != 1 {
-		t.Errorf("client span attempts = %d, want 1", attempts)
+			bb := find(sspans, "dse.bb")
+			if bb == nil {
+				t.Fatalf("no dse.bb span among %d server spans", len(sspans))
+			}
+			if bb.Trace != cl.Trace || bb.Parent != sv.ID {
+				t.Errorf("dse.bb in trace %s under %x, want trace %s under the service span %x",
+					bb.Trace, bb.Parent, cl.Trace, sv.ID)
+			}
+			workers := 0
+			for _, sp := range sspans {
+				if sp.Name != "dse.bb.worker" {
+					continue
+				}
+				workers++
+				if sp.Trace != cl.Trace || sp.Parent != bb.ID {
+					t.Errorf("worker span in trace %s under %x, want trace %s under dse.bb %x",
+						sp.Trace, sp.Parent, cl.Trace, bb.ID)
+				}
+			}
+			if workers != tc.workers {
+				t.Errorf("%d dse.bb.worker spans, want %d", workers, tc.workers)
+			}
+		})
 	}
 }
 

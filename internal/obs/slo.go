@@ -52,18 +52,16 @@ type sloSlot struct {
 
 // sloSeries is one endpoint's ring of slots.
 type sloSeries struct {
-	slots []sloSlot
+	slots [sloSlots]sloSlot
 }
 
 // SLOTracker estimates rolling per-endpoint latency quantiles and error
 // rates from a ring of fixed-bucket histogram slots. Observations land in
-// the slot owning the current epoch (now / slot duration); reads merge the
-// ring's live slots, so the window covered is slots × slot duration and
+// the slot owning the current epoch (now / sloSlotDur); reads merge the
+// ring's live slots, so the window covered is sloSlots × sloSlotDur and
 // expired traffic ages out one slot at a time. All methods are safe for
 // concurrent use.
 type SLOTracker struct {
-	slotDur    time.Duration
-	slots      int
 	objectives map[string]Objective
 	now        func() time.Time
 
@@ -71,26 +69,17 @@ type SLOTracker struct {
 	eps map[string]*sloSeries
 }
 
-// Default SLO window geometry: six 10-second slots, a one-minute rolling
-// window.
+// SLO window geometry: six 10-second slots, a one-minute rolling window.
 const (
-	DefaultSLOSlotDur = 10 * time.Second
-	DefaultSLOSlots   = 6
+	sloSlotDur = 10 * time.Second
+	sloSlots   = 6
 )
 
-// NewSLOTracker builds a tracker over a window of slots × slotDur.
-// Non-positive geometry falls back to the defaults. Endpoints without a
-// declared objective are still tracked; they just have nothing to fail.
-func NewSLOTracker(slotDur time.Duration, slots int, objectives []Objective) *SLOTracker {
-	if slotDur <= 0 {
-		slotDur = DefaultSLOSlotDur
-	}
-	if slots <= 0 {
-		slots = DefaultSLOSlots
-	}
+// NewSLOTracker builds a tracker over the one-minute window. Endpoints
+// without a declared objective are still tracked; they just have nothing to
+// fail.
+func NewSLOTracker(objectives []Objective) *SLOTracker {
 	t := &SLOTracker{
-		slotDur:    slotDur,
-		slots:      slots,
 		objectives: make(map[string]Objective, len(objectives)),
 		now:        time.Now,
 		eps:        make(map[string]*sloSeries),
@@ -106,7 +95,7 @@ func (t *SLOTracker) SetClock(now func() time.Time) { t.now = now }
 
 // Window returns the total duration the merged window covers.
 func (t *SLOTracker) Window() time.Duration {
-	return time.Duration(t.slots) * t.slotDur
+	return sloSlots * sloSlotDur
 }
 
 // Observe records one request: its endpoint, latency, and whether it failed
@@ -115,15 +104,15 @@ func (t *SLOTracker) Observe(endpoint string, dur time.Duration, failed bool) {
 	if t == nil {
 		return
 	}
-	epoch := t.now().UnixNano() / int64(t.slotDur)
+	epoch := t.now().UnixNano() / int64(sloSlotDur)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.eps[endpoint]
 	if s == nil {
-		s = &sloSeries{slots: make([]sloSlot, t.slots)}
+		s = &sloSeries{}
 		t.eps[endpoint] = s
 	}
-	sl := &s.slots[int(epoch%int64(t.slots))]
+	sl := &s.slots[int(epoch%sloSlots)]
 	if sl.epoch != epoch {
 		if sl.counts == nil {
 			sl.counts = make([]int64, len(LatencyBuckets)+1)
@@ -150,8 +139,8 @@ func (t *SLOTracker) Report() []SLOStatus {
 	if t == nil {
 		return nil
 	}
-	epoch := t.now().UnixNano() / int64(t.slotDur)
-	minEpoch := epoch - int64(t.slots) + 1
+	epoch := t.now().UnixNano() / int64(sloSlotDur)
+	minEpoch := epoch - sloSlots + 1
 
 	t.mu.Lock()
 	names := make(map[string]bool, len(t.eps)+len(t.objectives))

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// testSLO returns a tracker on a fake clock: six 10s slots, one objective.
+// testSLO returns a tracker on a fake clock.
 func testSLO(objs []Objective) (*SLOTracker, *time.Time) {
-	t := NewSLOTracker(10*time.Second, 6, objs)
+	t := NewSLOTracker(objs)
 	clock := time.Unix(10_000, 0)
 	t.SetClock(func() time.Time { return clock })
 	return t, &clock
@@ -157,7 +157,7 @@ func TestSLOPrometheusText(t *testing.T) {
 // TestSLOConcurrentObserve: concurrent observers and readers are safe and
 // lose nothing.
 func TestSLOConcurrentObserve(t *testing.T) {
-	tr := NewSLOTracker(time.Minute, 4, nil)
+	tr := NewSLOTracker(nil)
 	const writers, per = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {

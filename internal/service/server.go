@@ -127,7 +127,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		met:     newServiceMetrics(cfg.Registry),
-		slo:     obs.NewSLOTracker(obs.DefaultSLOSlotDur, obs.DefaultSLOSlots, DefaultObjectives()),
+		slo:     obs.NewSLOTracker(DefaultObjectives()),
 		cache:   newLRUCache(cfg.CacheEntries),
 		flight:  newFlightGroup(),
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.now),
@@ -409,7 +409,8 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // clientID identifies the caller for rate limiting: the X-Client-ID header
-// when present (costload and the typed client set it), else the peer host.
+// when present (the typed client sends its ID field there), else the peer
+// host.
 func clientID(r *http.Request) string {
 	if id := r.Header.Get("X-Client-ID"); id != "" {
 		return id

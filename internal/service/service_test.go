@@ -266,6 +266,11 @@ func TestCoalescingKToOne(t *testing.T) {
 	if got := s.met.coalesced.Value(); got != k-1 {
 		t.Errorf("coalesced %d requests, want %d", got, k-1)
 	}
+	// The run summary's service section, which costd -summary writes, reports
+	// the same count.
+	if got := s.Stats().Coalesced; got != k-1 {
+		t.Errorf("summary reports %d coalesced requests, want %d", got, k-1)
+	}
 	for i := 1; i < k; i++ {
 		if !bytes.Equal(bodies[i], bodies[0]) {
 			t.Fatalf("request %d got a different response than request 0", i)
@@ -489,74 +494,97 @@ func TestExploreFrontOnly(t *testing.T) {
 // permutation of a duplicate-heavy PRM list answers from the LRU without
 // running the engine again — and the answer reports the symmetry stats.
 func TestExploreFrontCachedAcrossPermutations(t *testing.T) {
-	evals := 0
-	s, ts := newTestServer(t, Config{evalHook: func(string) { evals++ }})
-
 	prm := func(name string, luts int) string {
 		return fmt.Sprintf(`{"name":%q,"req":{"lut_ff_pairs":%d,"luts":%d,"ffs":%d}}`, name, 2*luts, luts, luts/2)
 	}
-	// Two signatures, two instances each — listed in different orders. The
-	// first request leaves its second PRM unnamed, so it defaults to the
-	// positional name M1 that the second request spells out.
-	unnamed := `{"req":{"lut_ff_pairs":800,"luts":400,"ffs":200}}`
-	first := fmt.Sprintf(`{"device":"XC6VLX75T","front_only":true,"prms":[%s,%s,%s,%s]}`,
-		prm("a", 900), unnamed, prm("b", 900), prm("c", 400))
-	second := fmt.Sprintf(`{"device":"XC6VLX75T","front_only":true,"prms":[%s,%s,%s,%s]}`,
-		prm("c", 400), prm("b", 900), prm("M1", 400), prm("a", 900))
+	explore := func(options string, prms []string) string {
+		return fmt.Sprintf(`{"device":"XC6VLX75T","front_only":true%s,"prms":[%s]}`, options, strings.Join(prms, ","))
+	}
+	// Eight PRMs over two signatures, then four rotations of the list.
+	dup := make([]string, 8)
+	for i := range dup {
+		dup[i] = prm(fmt.Sprintf("dup%d", i), 900-500*(i/4))
+	}
+	rotations := [][]string{dup}
+	for r := 1; r <= 4; r++ {
+		rotations = append(rotations, append(append([]string{}, dup[r:]...), dup[:r]...))
+	}
+	cases := []struct {
+		name string
+		// requests lists each request's PRMs: the first is a miss, every
+		// later one a permutation of it that the cache must answer.
+		requests [][]string
+	}{
+		// Two signatures, two instances each — listed in different orders.
+		// The first request leaves its second PRM unnamed, so it defaults to
+		// the positional name M1 that the second request spells out.
+		{"default names", [][]string{
+			{prm("a", 900), `{"req":{"lut_ff_pairs":800,"luts":400,"ffs":200}}`, prm("b", 900), prm("c", 400)},
+			{prm("c", 400), prm("b", 900), prm("M1", 400), prm("a", 900)},
+		}},
+		{"rotations", rotations},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			evals := 0
+			s, ts := newTestServer(t, Config{evalHook: func(string) { evals++ }})
 
-	resp1, raw1 := post(t, ts, "/v1/explore", first)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("first explore: status %d: %s", resp1.StatusCode, raw1)
-	}
-	if hdr := resp1.Header.Get("X-Cache"); hdr != "miss" {
-		t.Errorf("first explore X-Cache = %q, want miss", hdr)
-	}
-	resp2, raw2 := post(t, ts, "/v1/explore", second)
-	if hdr := resp2.Header.Get("X-Cache"); hdr != "hit" {
-		t.Errorf("permuted explore X-Cache = %q, want hit", hdr)
-	}
-	if !bytes.Equal(raw1, raw2) {
-		t.Error("permuted request served a different body than the original")
-	}
-	if evals != 1 {
-		t.Errorf("engine ran %d times for two permuted requests, want 1", evals)
-	}
-	if got := s.met.cacheHits.Value(); got != 1 {
-		t.Errorf("cache hits = %d, want 1", got)
-	}
+			resp1, raw1 := post(t, ts, "/v1/explore", explore("", tc.requests[0]))
+			if resp1.StatusCode != http.StatusOK {
+				t.Fatalf("first explore: status %d: %s", resp1.StatusCode, raw1)
+			}
+			if hdr := resp1.Header.Get("X-Cache"); hdr != "miss" {
+				t.Errorf("first explore X-Cache = %q, want miss", hdr)
+			}
+			for i, prms := range tc.requests[1:] {
+				resp, raw := post(t, ts, "/v1/explore", explore("", prms))
+				if hdr := resp.Header.Get("X-Cache"); hdr != "hit" {
+					t.Errorf("permutation %d X-Cache = %q, want hit", i+1, hdr)
+				}
+				if !bytes.Equal(raw1, raw) {
+					t.Errorf("permutation %d served a different body than the original", i+1)
+				}
+			}
+			if evals != 1 {
+				t.Errorf("engine ran %d times for %d permuted requests, want 1", evals, len(tc.requests))
+			}
+			if got, want := s.met.cacheHits.Value(), int64(len(tc.requests)-1); got != want {
+				t.Errorf("cache hits = %d, want %d", got, want)
+			}
 
-	var ev api.ExploreEvent
-	if err := json.Unmarshal(bytes.TrimSpace(raw1), &ev); err != nil || ev.Done == nil {
-		t.Fatalf("response is not a single done event: %v", err)
-	}
-	if ev.Done.Stats.Classes != 2 {
-		t.Errorf("stats report %d classes, want 2", ev.Done.Stats.Classes)
-	}
-	if ev.Done.Stats.OrbitsCollapsed == 0 {
-		t.Error("no orbits collapsed on a duplicate-heavy workload")
-	}
-	if ev.Done.Stats.Evaluated+ev.Done.Stats.PrunedFit+ev.Done.Stats.PrunedDominated+
-		ev.Done.Stats.OrbitsCollapsed != ev.Done.Stats.Partitions {
-		t.Errorf("stats do not cover the partition space: %+v", ev.Done.Stats)
-	}
+			var ev api.ExploreEvent
+			if err := json.Unmarshal(bytes.TrimSpace(raw1), &ev); err != nil || ev.Done == nil {
+				t.Fatalf("response is not a single done event: %v", err)
+			}
+			if ev.Done.Stats.Classes != 2 {
+				t.Errorf("stats report %d classes, want 2", ev.Done.Stats.Classes)
+			}
+			if ev.Done.Stats.OrbitsCollapsed == 0 {
+				t.Error("no orbits collapsed on a duplicate-heavy workload")
+			}
+			if ev.Done.Stats.Evaluated+ev.Done.Stats.PrunedFit+ev.Done.Stats.PrunedDominated+
+				ev.Done.Stats.OrbitsCollapsed != ev.Done.Stats.Partitions {
+				t.Errorf("stats do not cover the partition space: %+v", ev.Done.Stats)
+			}
 
-	// Symmetry off is a distinct request: it must not hit the symmetric
-	// entry, and must report the same front with no collapse.
-	off := fmt.Sprintf(`{"device":"XC6VLX75T","front_only":true,"options":{"symmetry":"off"},"prms":[%s,%s,%s,%s]}`,
-		prm("a", 900), prm("M1", 400), prm("b", 900), prm("c", 400))
-	respOff, rawOff := post(t, ts, "/v1/explore", off)
-	if hdr := respOff.Header.Get("X-Cache"); hdr != "miss" {
-		t.Errorf("symmetry-off explore X-Cache = %q, want miss", hdr)
-	}
-	var evOff api.ExploreEvent
-	if err := json.Unmarshal(bytes.TrimSpace(rawOff), &evOff); err != nil || evOff.Done == nil {
-		t.Fatalf("symmetry-off response is not a single done event: %v", err)
-	}
-	if evOff.Done.Stats.OrbitsCollapsed != 0 {
-		t.Errorf("symmetry off still collapsed %d partitions", evOff.Done.Stats.OrbitsCollapsed)
-	}
-	if !reflect.DeepEqual(evOff.Done.Front, ev.Done.Front) {
-		t.Error("symmetric and flat explorations served different fronts")
+			// Symmetry off is a distinct request: it must not hit the
+			// symmetric entry, and must report the same front with no
+			// collapse.
+			respOff, rawOff := post(t, ts, "/v1/explore", explore(`,"options":{"symmetry":"off"}`, tc.requests[0]))
+			if hdr := respOff.Header.Get("X-Cache"); hdr != "miss" {
+				t.Errorf("symmetry-off explore X-Cache = %q, want miss", hdr)
+			}
+			var evOff api.ExploreEvent
+			if err := json.Unmarshal(bytes.TrimSpace(rawOff), &evOff); err != nil || evOff.Done == nil {
+				t.Fatalf("symmetry-off response is not a single done event: %v", err)
+			}
+			if evOff.Done.Stats.OrbitsCollapsed != 0 {
+				t.Errorf("symmetry off still collapsed %d partitions", evOff.Done.Stats.OrbitsCollapsed)
+			}
+			if !reflect.DeepEqual(evOff.Done.Front, ev.Done.Front) {
+				t.Error("symmetric and flat explorations served different fronts")
+			}
+		})
 	}
 }
 
@@ -865,8 +893,8 @@ func TestDebugSLO(t *testing.T) {
 	if err := sum.Validate(); err != nil {
 		t.Fatalf("/debug/slo payload invalid: %v", err)
 	}
-	if sum.WindowNS != int64(obs.DefaultSLOSlots)*int64(obs.DefaultSLOSlotDur) {
-		t.Errorf("window %d ns, want the default geometry", sum.WindowNS)
+	if sum.WindowNS != int64(time.Minute) {
+		t.Errorf("window %d ns, want one minute", sum.WindowNS)
 	}
 	got := map[string]report.SLOEndpoint{}
 	for _, ep := range sum.Endpoints {
