@@ -1,18 +1,22 @@
-// Command costd serves the cost models and exploration engines over
-// HTTP/JSON: the PRR size/organization model (Eqs. (1)–(17)), the bitstream
-// size model (Eqs. (18)–(23)) and the branch-and-bound Pareto explorer,
-// behind request coalescing, a bounded response cache and admission control.
+// Command costd serves the cost models, the exploration engine and the
+// multitasking simulator over HTTP/JSON: the PRR size/organization model
+// (Eqs. (1)–(17)), the bitstream size model (Eqs. (18)–(23)), the
+// branch-and-bound Pareto explorer and the discrete-event simulator with its
+// explorer+scheduler co-exploration, behind request coalescing, a bounded
+// response cache and admission control (past 256 requests in flight, 429 +
+// Retry-After).
 //
 // Usage:
 //
 //	costd -addr :8433
-//	costd -addr :8433 -rate 50 -burst 100 -max-inflight 256 -cache 4096
+//	costd -addr :8433 -cache 4096 -grace 30s
 //	costd -addr :0 -summary run.json     # summary written on shutdown
 //	costd -addr :0 -trace-out spans.jsonl -access-log access.jsonl
 //
 // Endpoints: GET /v1/devices, POST /v1/prr, POST /v1/bitstream,
-// POST /v1/explore (NDJSON stream), GET /healthz, GET /metrics (including
-// the rolling SLO gauges), GET /debug/slo.
+// POST /v1/explore (NDJSON stream), POST /v1/simulate (NDJSON stream),
+// GET /healthz, GET /metrics (including the rolling SLO gauges),
+// GET /debug/slo.
 //
 // Every response carries X-Request-ID: the trace ID from the caller's W3C
 // traceparent header when one was sent, a freshly minted one otherwise. With
@@ -21,10 +25,10 @@
 // line carrying it, so logs, traces and client-side records correlate.
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight requests and exploration
-// streams drain within -grace, then stragglers are cancelled. With -summary
-// the per-run metric summary — including the service section (requests,
-// coalesced, cache hits, shed) and the rolling SLO standings — is written on
-// exit.
+// and simulation streams drain within -grace, then stragglers are cancelled.
+// With -summary the per-run metric summary — including the service section
+// (requests, coalesced, cache hits, shed) and the rolling SLO standings — is
+// written on exit.
 package main
 
 import (
@@ -44,9 +48,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8433", "listen address (\":0\" picks a free port)")
 	cache := flag.Int("cache", service.DefaultCacheEntries, "response cache entries across shards (negative = off)")
-	maxInflight := flag.Int("max-inflight", service.DefaultMaxInflight, "max concurrently admitted requests (negative = unlimited)")
-	rate := flag.Float64("rate", 0, "per-client token-bucket refill, requests/sec (0 = unlimited)")
-	burst := flag.Int("burst", 10, "per-client token-bucket depth")
 	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown drain budget")
 	obsFlags := obscli.Register(flag.CommandLine)
 	flag.Parse()
@@ -58,9 +59,6 @@ func main() {
 
 	srv := service.New(service.Config{
 		CacheEntries: *cache,
-		MaxInflight:  *maxInflight,
-		RatePerSec:   *rate,
-		Burst:        *burst,
 		Tracer:       sess.Tracer(),
 		AccessLog:    sess.AccessLog(),
 	})
@@ -87,7 +85,6 @@ func main() {
 	if err := sess.Finish("", map[string]string{
 		"addr":  *addr,
 		"cache": fmt.Sprint(*cache),
-		"rate":  fmt.Sprint(*rate),
 	}); err != nil {
 		fatal(err)
 	}

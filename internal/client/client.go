@@ -27,8 +27,8 @@ type Client struct {
 	// HTTPClient defaults to a dedicated client (no global timeout: explore
 	// streams are long-lived; use contexts for deadlines).
 	HTTPClient *http.Client
-	// ID is sent as X-Client-ID so the server's per-client rate limiting
-	// and logs can tell callers apart. Empty omits the header.
+	// ID is sent as X-Client-ID so the server's access log can tell callers
+	// apart. Empty omits the header.
 	ID string
 	// MaxRetries bounds attempts per call beyond the first (default 3).
 	// Retries apply to 429/503, retried with the server's Retry-After when

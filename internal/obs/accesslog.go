@@ -29,7 +29,8 @@ type AccessRecord struct {
 	// TraceID correlates the line with the request's span tree and the
 	// response's X-Request-ID header.
 	TraceID string `json:"trace_id,omitempty"`
-	// Client is the caller identity admission control keyed on.
+	// Client is the caller identity: the X-Client-ID header, else the peer
+	// host.
 	Client string `json:"client,omitempty"`
 	// Key is the canonical request key of the prr, bitstream, explore and
 	// simulate endpoints: the cache identity of cacheable requests, and the
@@ -38,8 +39,8 @@ type AccessRecord struct {
 	// Cache is the response-cache verdict: "hit", "miss" or "" (uncached
 	// endpoint).
 	Cache string `json:"cache,omitempty"`
-	// Shed names why admission refused the request: "rate", "inflight" or
-	// "draining"; "" for served requests.
+	// Shed names why the request was refused: "inflight" (admission's
+	// in-flight cap) or "draining" (shutdown); "" for served requests.
 	Shed string `json:"shed,omitempty"`
 }
 

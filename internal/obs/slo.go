@@ -90,9 +90,6 @@ func NewSLOTracker(objectives []Objective) *SLOTracker {
 	return t
 }
 
-// SetClock replaces the tracker's clock (tests).
-func (t *SLOTracker) SetClock(now func() time.Time) { t.now = now }
-
 // Window returns the total duration the merged window covers.
 func (t *SLOTracker) Window() time.Duration {
 	return sloSlots * sloSlotDur

@@ -11,7 +11,7 @@ import (
 func testSLO(objs []Objective) (*SLOTracker, *time.Time) {
 	t := NewSLOTracker(objs)
 	clock := time.Unix(10_000, 0)
-	t.SetClock(func() time.Time { return clock })
+	t.now = func() time.Time { return clock }
 	return t, &clock
 }
 

@@ -20,8 +20,8 @@
 // identical in-flight requests coalesce through singleflight on
 // canonicalized request hashes (api.CanonicalKey) and responses land in a
 // bounded sharded LRU keyed the same way. Point and event streams go through
-// stream. Admission control (max in-flight plus a per-client token bucket)
-// sheds excess load with 429 + Retry-After before any model runs. Shutdown
+// stream. Admission control sheds every request past DefaultMaxInflight in
+// flight with 429 + Retry-After before any model runs. Shutdown
 // drains: in-flight requests, explore streams and simulate runs finish
 // within the caller's grace context, then stragglers are cancelled; new
 // explore and simulate runs are refused with 503 while batches are still

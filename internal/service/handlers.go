@@ -281,13 +281,20 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// Flush the first point promptly, then in batches of 256 to keep
 	// syscalls off the hot path.
 	s.stream(w, r, key, 256, s.met.exploreStreams, s.met.exploreCancelled, func(ctx context.Context, emit func(any) bool) (any, error) {
-		var points []dse.DesignPoint
+		// Fold each sent point into the front as it goes, tagged with its
+		// arrival index: the stream holds O(front) points, not every point
+		// it sent, and ties keep Pareto's input order.
+		var pf dse.ParetoFront
+		var seq uint64
 		stats, err := e.ExploreBB(ctx, prms, opts, func(dp dse.DesignPoint) bool {
 			if !emit(api.ExploreEvent{Point: wirePoint(prms, dp)}) {
 				return false
 			}
 			s.met.explorePoints.Inc()
-			points = append(points, dp)
+			if dp.Feasible {
+				pf.Add(dp, seq)
+			}
+			seq++
 			return true
 		})
 		if err != nil || ctx.Err() != nil {
@@ -296,7 +303,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		// With the symmetry collapse active the stream carries only fiber
 		// representatives; the Done front is always the full expansion, so
 		// both explore modes report element-for-element identical fronts.
-		front := dse.ExpandSymmetric(prms, dse.Pareto(points))
+		front := dse.ExpandSymmetric(prms, pf.Points())
 		stats.FrontSize = len(front)
 		return api.ExploreEvent{Done: wireDone(prms, front, stats)}, nil
 	})

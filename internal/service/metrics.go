@@ -19,7 +19,6 @@ type serviceMetrics struct {
 	cacheEvictions *obs.Counter
 	cacheEntries   *obs.Gauge
 
-	shedRate     *obs.Counter
 	shedInflight *obs.Counter
 
 	exploreStreams   *obs.Counter
@@ -50,8 +49,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		cacheEntries: reg.Gauge("service_cache_entries",
 			"response-cache entries currently resident"),
 
-		shedRate: reg.Counter("service_shed_total",
-			"requests rejected by admission control", obs.L("reason", "rate")),
 		shedInflight: reg.Counter("service_shed_total",
 			"requests rejected by admission control", obs.L("reason", "inflight")),
 
@@ -83,7 +80,7 @@ func (m *serviceMetrics) Summary() *report.ServiceSummary {
 		CacheHits:        m.cacheHits.Value(),
 		CacheMisses:      m.cacheMisses.Value(),
 		CacheEvictions:   m.cacheEvictions.Value(),
-		Shed:             m.shedRate.Value() + m.shedInflight.Value(),
+		Shed:             m.shedInflight.Value(),
 		ExploreStreams:   m.exploreStreams.Value(),
 		ExploreCancelled: m.exploreCancelled.Value(),
 		SimStreams:       m.simStreams.Value(),

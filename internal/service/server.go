@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,13 +23,6 @@ type Config struct {
 	// 0 means DefaultCacheEntries; negative disables caching. The cache
 	// also holds at most DefaultCacheBytes of keys and responses.
 	CacheEntries int
-	// MaxInflight caps concurrently admitted requests. 0 means
-	// DefaultMaxInflight; negative disables the cap.
-	MaxInflight int
-	// RatePerSec is the per-client token refill rate; 0 disables rate
-	// limiting. Burst is the bucket depth (minimum 1).
-	RatePerSec float64
-	Burst      int
 	// Registry receives the serving metrics; nil means obs.Default().
 	Registry *obs.Registry
 	// Tracer, when set, records a span tree per request. Incoming W3C
@@ -42,10 +34,11 @@ type Config struct {
 	// the caller owns Close.
 	AccessLog *obs.AccessLog
 
-	// now and evalHook are test seams: a fake clock for the rate limiter and
-	// a hook invoked before each cache-missed evaluation.
-	now      func() time.Time
-	evalHook func(endpoint string)
+	// maxInflight and evalHook are test seams: the in-flight cap (0 means
+	// DefaultMaxInflight) and a hook invoked before each cache-missed
+	// evaluation.
+	maxInflight int
+	evalHook    func(endpoint string)
 }
 
 // estimator prices reconfiguration time for bitstream results, explorations
@@ -66,8 +59,10 @@ func DefaultObjectives() []obs.Objective {
 	}
 }
 
-// Defaults for the zero Config. DefaultCacheBytes is not configurable: it
-// bounds the response cache's memory whatever its entry cap.
+// Serving capacities. DefaultCacheEntries is the zero Config's entry cap.
+// The other two are fixed: DefaultCacheBytes bounds the response cache's
+// memory whatever its entry cap, and admission sheds every request past
+// DefaultMaxInflight in flight with 429 + Retry-After.
 const (
 	DefaultCacheEntries = 4096
 	DefaultCacheBytes   = 64 << 20
@@ -84,8 +79,7 @@ type Server struct {
 	mux   *http.ServeMux
 	cache *lruCache
 	// flight coalesces identical in-flight cacheable evaluations.
-	flight  *flightGroup
-	limiter *rateLimiter
+	flight *flightGroup
 
 	inflightN atomic.Int64
 	// streamMu guards the registry of explore and simulate runs — NDJSON
@@ -118,22 +112,15 @@ func New(cfg Config) *Server {
 	case cfg.CacheEntries < 0:
 		cfg.CacheEntries = 0
 	}
-	switch {
-	case cfg.MaxInflight == 0:
-		cfg.MaxInflight = DefaultMaxInflight
-	case cfg.MaxInflight < 0:
-		cfg.MaxInflight = 0
+	if cfg.maxInflight == 0 {
+		cfg.maxInflight = DefaultMaxInflight
 	}
 	s := &Server{
-		cfg:     cfg,
-		met:     newServiceMetrics(cfg.Registry),
-		slo:     obs.NewSLOTracker(DefaultObjectives()),
-		cache:   newLRUCache(cfg.CacheEntries),
-		flight:  newFlightGroup(),
-		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.now),
-	}
-	if cfg.now != nil {
-		s.slo.SetClock(cfg.now)
+		cfg:    cfg,
+		met:    newServiceMetrics(cfg.Registry),
+		slo:    obs.NewSLOTracker(DefaultObjectives()),
+		cache:  newLRUCache(cfg.CacheEntries),
+		flight: newFlightGroup(),
 	}
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 
@@ -383,18 +370,12 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		}()
 
 		if endpoint != "healthz" {
-			if ok, retry := s.limiter.Allow(clientID(r)); !ok {
-				s.met.shedRate.Inc()
-				ri.shed = "rate"
-				shed(rec, retry)
-				return
-			}
 			cur := s.inflightN.Add(1)
 			defer s.inflightN.Add(-1)
-			if s.cfg.MaxInflight > 0 && cur > int64(s.cfg.MaxInflight) {
+			if cur > int64(s.cfg.maxInflight) {
 				s.met.shedInflight.Inc()
 				ri.shed = "inflight"
-				shed(rec, time.Second)
+				shed(rec)
 				return
 			}
 			s.met.inflight.Add(1)
@@ -408,9 +389,8 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// clientID identifies the caller for rate limiting: the X-Client-ID header
-// when present (the typed client sends its ID field there), else the peer
-// host.
+// clientID names the caller in the access log: the X-Client-ID header when
+// present (the typed client sends its ID field there), else the peer host.
 func clientID(r *http.Request) string {
 	if id := r.Header.Get("X-Client-ID"); id != "" {
 		return id
@@ -422,12 +402,8 @@ func clientID(r *http.Request) string {
 }
 
 // shed writes the 429 + Retry-After admission rejection.
-func shed(w http.ResponseWriter, retry time.Duration) {
-	secs := int(retry / time.Second)
-	if retry%time.Second != 0 || secs == 0 {
-		secs++
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+func shed(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
 	httpErr(w, http.StatusTooManyRequests, "overloaded, retry later")
 }
 

@@ -324,64 +324,13 @@ func TestCacheEvictionBounded(t *testing.T) {
 	}
 }
 
-// TestRateLimitSheds: a client past its token bucket gets 429 with a usable
-// Retry-After, liveness stays exempt, and tokens return as the clock moves.
-func TestRateLimitSheds(t *testing.T) {
-	clk := newFakeClock()
-	s, ts := newTestServer(t, Config{RatePerSec: 1, Burst: 2, now: clk.now})
-	get := func() *http.Response {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/devices", nil)
-		req.Header.Set("X-Client-ID", "hammer")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp
-	}
-	for i := 0; i < 2; i++ {
-		if resp := get(); resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d within burst: status %d", i, resp.StatusCode)
-		}
-	}
-	resp := get()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("request beyond burst: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Errorf("Retry-After = %q, want 1 (empty bucket at 1 token/s)", ra)
-	}
-	// Even a shed response carries a correlatable trace ID.
-	if id := resp.Header.Get("X-Request-ID"); len(id) != 32 {
-		t.Errorf("shed response X-Request-ID = %q, want a 32-hex trace ID", id)
-	}
-	if shed := s.met.shedRate.Value(); shed != 1 {
-		t.Errorf("shed(rate) = %d, want 1", shed)
-	}
-	// Liveness is never shed.
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		t.Errorf("healthz shed with status %d", hresp.StatusCode)
-	}
-	// And the advertised wait restores service.
-	clk.advance(time.Second)
-	if resp := get(); resp.StatusCode != http.StatusOK {
-		t.Errorf("request after refill: status %d", resp.StatusCode)
-	}
-}
-
 // TestInflightShed: with the in-flight cap saturated by a held request, the
-// next (distinct) request is shed with 429.
+// next (distinct) request is shed with 429, while liveness stays exempt.
 func TestInflightShed(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	s, ts := newTestServer(t, Config{
-		MaxInflight: 1,
+		maxInflight: 1,
 		evalHook: func(string) {
 			close(entered)
 			<-gate
@@ -398,14 +347,23 @@ func TestInflightShed(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("over-cap request: status %d, want 429", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("shed response has no Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("shed response Retry-After = %q, want 1", ra)
 	}
 	if id := resp.Header.Get("X-Request-ID"); len(id) != 32 {
 		t.Errorf("shed response X-Request-ID = %q, want a 32-hex trace ID", id)
 	}
 	if shed := s.met.shedInflight.Value(); shed != 1 {
 		t.Errorf("shed(inflight) = %d, want 1", shed)
+	}
+	// Liveness is never shed: a probe of a saturated instance gets its 200.
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Errorf("healthz under a held cap: status %d, want 200", hresp.StatusCode)
 	}
 	close(gate)
 	if code := <-held; code != http.StatusOK {

@@ -89,7 +89,6 @@ func BenchmarkCoExplore(b *testing.B) {
 	base := CoExploreConfig{
 		Mix: Mix{Jobs: 200, Seed: 7, MeanGap: 80 * time.Microsecond,
 			MeanExec: 300 * time.Microsecond, PriorityLevels: 3},
-		MaxOrgs: 16,
 	}
 	for _, v := range []struct {
 		name    string

@@ -15,7 +15,8 @@ import (
 )
 
 // DefaultMaxOrgs caps how many Pareto-front organizations one co-exploration
-// scores when CoExploreConfig.MaxOrgs is zero.
+// scores: the first DefaultMaxOrgs in front order. The front itself is
+// always complete.
 const DefaultMaxOrgs = 32
 
 // CoExploreConfig drives one explorer+scheduler co-exploration.
@@ -32,9 +33,6 @@ type CoExploreConfig struct {
 	SnapshotEvery int
 	// BB configures the branch-and-bound exploration of the design space.
 	BB dse.BBOptions
-	// MaxOrgs caps the number of front organizations scored (zero means
-	// DefaultMaxOrgs); the front itself is always complete.
-	MaxOrgs int
 	// Workers caps the goroutines replaying front organizations against
 	// the mix. Zero means GOMAXPROCS; 1 forces the sequential path. The
 	// worker count never changes the ranked scores of a completed
@@ -103,13 +101,9 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 		return nil, front, stats, err
 	}
 
-	maxOrgs := cfg.MaxOrgs
-	if maxOrgs <= 0 {
-		maxOrgs = DefaultMaxOrgs
-	}
 	var orgs []int // front indexes to score, in front order
 	for oi, dp := range front {
-		if oi >= maxOrgs {
+		if oi >= DefaultMaxOrgs {
 			break
 		}
 		if !dp.Feasible {
