@@ -245,25 +245,42 @@ func TestClientAlwaysSendsTraceparent(t *testing.T) {
 
 // TestClientServiceSharedSpanTree: with tracers on both sides, one call
 // yields a client span and a service span in the same trace, the service span
-// parented under the client's, and the retry count on the client span. A
-// streamed explore carries the tree on into the engine: dse.bb under the
-// service span and one dse.bb.worker per engine worker under dse.bb.
+// parented under the client's, and the retry count on the client span. An
+// engine call carries the tree on into the engine: a streamed explore has
+// dse.bb under the service span and one dse.bb.worker per engine worker under
+// dse.bb; a co-exploration has service.coexplore_front (which explores the
+// front on a cache miss, dse.bb beneath it) and sim.score_front under the
+// service span.
 func TestClientServiceSharedSpanTree(t *testing.T) {
 	cases := []struct {
 		endpoint string
 		call     func(context.Context, *Client) error
 		workers  int // dse.bb.worker spans under dse.bb; 0: the call runs no engine
+		// parents maps each further server span to its parent's name.
+		parents map[string]string
 	}{
 		{"prr", func(ctx context.Context, c *Client) error {
 			_, err := c.PRR(ctx, testPRR)
 			return err
-		}, 0},
+		}, 0, nil},
 		{"explore", func(ctx context.Context, c *Client) error {
 			_, err := c.Explore(ctx, &api.ExploreRequest{
 				Device: "XC6VLX75T", SyntheticN: 6, Options: api.ExploreOptions{Workers: 2},
 			}, nil)
 			return err
-		}, 2},
+		}, 2, map[string]string{"dse.bb": "service.explore"}},
+		{"simulate", func(ctx context.Context, c *Client) error {
+			_, err := c.Simulate(ctx, &api.SimulateRequest{
+				Device: "XC6VLX75T", SyntheticN: 4, CoExplore: true,
+				Mix:     api.SimMix{Jobs: 60, Seed: 3, PriorityLevels: 2},
+				Options: api.ExploreOptions{Workers: 1},
+			}, nil)
+			return err
+		}, 1, map[string]string{
+			"service.coexplore_front": "service.simulate",
+			"dse.bb":                  "service.coexplore_front",
+			"sim.score_front":         "service.simulate",
+		}},
 	}
 	find := func(spans []obs.SpanRecord, name string) *obs.SpanRecord {
 		for i := range spans {
@@ -275,8 +292,9 @@ func TestClientServiceSharedSpanTree(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.endpoint, func(t *testing.T) {
-			// One call records at most four server spans (service, dse.bb and
-			// two workers) and one client span; the rings hold them all.
+			// One call records at most five server spans (service, front,
+			// dse.bb, workers, scoring) and one client span; the rings hold
+			// them all.
 			serverRing := obs.NewRingSink(16)
 			_, c := newServicePair(t, service.Config{Tracer: obs.NewTracer(serverRing)})
 			clientRing := obs.NewRingSink(16)
@@ -316,18 +334,32 @@ func TestClientServiceSharedSpanTree(t *testing.T) {
 			if attempts != 1 {
 				t.Errorf("client span attempts = %d, want 1", attempts)
 			}
+			for name, parent := range tc.parents {
+				sp, ps := find(sspans, name), find(sspans, parent)
+				if sp == nil || ps == nil {
+					t.Fatalf("missing spans among %d: %s=%v %s=%v", len(sspans), name, sp != nil, parent, ps != nil)
+				}
+				if sp.Trace != cl.Trace || sp.Parent != ps.ID {
+					t.Errorf("%s in trace %s under %x, want trace %s under %s %x",
+						name, sp.Trace, sp.Parent, cl.Trace, parent, ps.ID)
+				}
+			}
+			if front := find(sspans, "service.coexplore_front"); front != nil {
+				var cache any
+				for _, a := range front.Attrs {
+					if a.Key == "cache" {
+						cache = a.Value
+					}
+				}
+				if cache != "miss" {
+					t.Errorf("first co-exploration's front span has cache=%v, want miss", cache)
+				}
+			}
 			if tc.workers == 0 {
 				return
 			}
 
 			bb := find(sspans, "dse.bb")
-			if bb == nil {
-				t.Fatalf("no dse.bb span among %d server spans", len(sspans))
-			}
-			if bb.Trace != cl.Trace || bb.Parent != sv.ID {
-				t.Errorf("dse.bb in trace %s under %x, want trace %s under the service span %x",
-					bb.Trace, bb.Parent, cl.Trace, sv.ID)
-			}
 			workers := 0
 			for _, sp := range sspans {
 				if sp.Name != "dse.bb.worker" {

@@ -115,21 +115,38 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, req any, validate func(
 }
 
 // cached answers a cacheable request — a pure function of its canonical
-// key — from the response cache, or else computes it once for every
-// identical in-flight request (singleflight) and caches the result; X-Cache
-// tells which. A compute refused by a drain returns errDraining and is
-// answered 503 (logged as shed=draining); any other error is a 500.
+// key — through lookup; X-Cache tells whether the cache answered. A compute
+// refused by a drain returns errDraining and is answered 503 (logged as
+// shed=draining); any other error is a 500.
 func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint, contentType, key string, compute func() ([]byte, error)) {
 	ann := annotations(r.Context())
 	ann.key = key
-	if resp, ok := s.cache.Get(key); ok {
-		s.met.cacheHits.Inc()
-		w.Header().Set("X-Cache", "hit")
+	resp, hit, err := s.lookup(endpoint, key, compute)
+	switch {
+	case errors.Is(err, errDraining):
+		ann.shed = "draining"
+		httpErr(w, http.StatusServiceUnavailable, "shutting down")
+	case err != nil:
+		httpErr(w, http.StatusInternalServerError, err.Error())
+	default:
+		w.Header().Set("X-Cache", cacheState(hit))
 		writeRaw(w, contentType, resp)
-		return
+	}
+}
+
+// lookup returns the response cache's value for key, or else computes it
+// once for every identical in-flight caller (singleflight) and caches it.
+// hit reports a cache answer. It is the only reader and writer of the cache
+// and the flight group, so every lookup counts in the cache hit, miss,
+// coalesced and eviction metrics. endpoint names the compute for the eval
+// hook. Errors are not cached.
+func (s *Server) lookup(endpoint, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
+	if val, ok := s.cache.Get(key); ok {
+		s.met.cacheHits.Inc()
+		return val, true, nil
 	}
 	s.met.cacheMisses.Inc()
-	resp, shared, err := s.flight.Do(key, func() ([]byte, error) {
+	val, shared, err := s.flight.Do(key, func() ([]byte, error) {
 		if s.cfg.evalHook != nil {
 			s.cfg.evalHook(endpoint)
 		}
@@ -146,16 +163,16 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint, conten
 	if shared {
 		s.met.coalesced.Inc()
 	}
-	switch {
-	case errors.Is(err, errDraining):
-		ann.shed = "draining"
-		httpErr(w, http.StatusServiceUnavailable, "shutting down")
-	case err != nil:
-		httpErr(w, http.StatusInternalServerError, err.Error())
-	default:
-		w.Header().Set("X-Cache", "miss")
-		writeRaw(w, contentType, resp)
+	return val, false, err
+}
+
+// cacheState names a lookup's outcome, as X-Cache and span attributes
+// report it.
+func cacheState(hit bool) string {
+	if hit {
+		return "hit"
 	}
+	return "miss"
 }
 
 // errDraining marks cacheable runs refused by a shutdown drain.

@@ -2,12 +2,14 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
 	"repro/internal/device"
 	"repro/internal/dse"
+	"repro/internal/obs"
 	"repro/internal/service/api"
 	"repro/internal/sim"
 )
@@ -101,7 +103,11 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 				return emit(api.SimEvent{Score: wireScore(names, sc)})
 			}
 		}
-		scores, front, stats, err := sim.CoExplore(ctx, dev, specs, cfg, snap, score)
+		front, stats, err := s.coexploreFront(ctx, dev, req, specs, bb)
+		if err != nil {
+			return nil, err
+		}
+		scores, err := sim.ScoreFront(ctx, dev, specs, front, cfg, snap, score)
 		if err != nil {
 			return nil, err
 		}
@@ -152,6 +158,53 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 		done.PerSlot[i] = api.SimSlot{Name: sl.Name, BusyNS: sl.BusyNS, Reconfigs: sl.Reconfigs, ICAPNS: sl.ICAPNS}
 	}
 	return done, nil
+}
+
+// coexploreFront returns a co-exploration's exact Pareto front and explorer
+// statistics through the response cache, so co-explorations of one module
+// set explore it once whatever their mix. The key keeps the PRMs in request
+// order, unlike explore's canonical key: the mix draws PRMs by position, and
+// a front priced in another order may list its organizations differently.
+// Like drainable, the explore runs under the drain context, since coalesced
+// followers and later hits outlive the request that started it.
+func (s *Server) coexploreFront(ctx context.Context, dev *device.Device, req *api.SimulateRequest,
+	specs []sim.Spec, opts dse.BBOptions) ([]dse.DesignPoint, dse.BBStats, error) {
+
+	ctx, span := obs.StartSpan(ctx, "service.coexplore_front")
+	defer span.End()
+	key := api.CanonicalKey("coexplore-front", &struct {
+		Device     string             `json:"device"`
+		PRMs       []api.PRM          `json:"prms,omitempty"`
+		SyntheticN int                `json:"synthetic_n,omitempty"`
+		Options    api.ExploreOptions `json:"options"`
+	}{dev.Name, req.PRMs, req.SyntheticN, req.Options})
+	type frontValue struct {
+		Front []dse.DesignPoint
+		Stats dse.BBStats
+	}
+	raw, hit, err := s.lookup("coexplore-front", key, func() ([]byte, error) {
+		// The leader's explore joins its trace under this span.
+		run := obs.ContextWithTrace(obs.WithTracer(s.drainCtx, obs.TracerFrom(ctx)), span.Context())
+		prms := make([]dse.PRM, len(specs))
+		for i, sp := range specs {
+			prms[i] = dse.PRM{Name: sp.Name, Req: sp.Req}
+		}
+		e := &dse.Explorer{Device: dev, Estimator: estimator}
+		front, stats, err := e.ExploreParetoBB(run, prms, opts)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(frontValue{front, stats})
+	})
+	span.SetAttr("cache", cacheState(hit))
+	if err != nil {
+		return nil, dse.BBStats{}, err
+	}
+	var v frontValue
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return nil, dse.BBStats{}, err
+	}
+	return v.Front, v.Stats, nil
 }
 
 // simSpecs resolves the request's module set (explicit PRMs or the

@@ -6,8 +6,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +20,7 @@ import (
 	"repro/internal/dse"
 	"repro/internal/icap"
 	"repro/internal/service/api"
+	"repro/internal/sim"
 )
 
 // readSimStream decodes a whole /v1/simulate NDJSON body into its events.
@@ -290,5 +296,266 @@ func TestSimulateCoExploreRanksPaperFront(t *testing.T) {
 	}
 	if done.Stats == nil || done.Stats.Partitions == 0 {
 		t.Errorf("co-exploration done lacks explorer stats: %+v", done.Stats)
+	}
+}
+
+// frontPRMs is six PRMs over the paper's three signatures in non-canonical
+// order, with a repeated name and an unnamed module.
+func frontPRMs() []api.PRM {
+	fir := api.Requirements{LUTFFPairs: 1467, LUTs: 1316, FFs: 394, DSPs: 27}
+	mips := api.Requirements{LUTFFPairs: 3239, LUTs: 2095, FFs: 1860, DSPs: 4, BRAMs: 6}
+	sdram := api.Requirements{LUTFFPairs: 385, LUTs: 181, FFs: 324}
+	return []api.PRM{
+		{Name: "sdram", Req: sdram}, {Name: "fir", Req: fir}, {Name: "mips", Req: mips},
+		{Name: "fir", Req: fir}, {Req: sdram}, {Name: "mips2", Req: mips},
+	}
+}
+
+// coexploreRequest is a saturated co-exploration of prms at one worker.
+func coexploreRequest(prms []api.PRM, seed uint64) *api.SimulateRequest {
+	return &api.SimulateRequest{
+		Device: testDevice, PRMs: prms, CoExplore: true,
+		Mix: api.SimMix{Jobs: 150, Seed: seed, Arrival: "bursty",
+			MeanExecUS: 300, MeanGapUS: 60, PriorityLevels: 3},
+		SnapshotEvery: 50,
+		Options:       api.ExploreOptions{Workers: 1},
+	}
+}
+
+// postSim posts a simulate request and returns its body, failing on any
+// status but 200.
+func postSim(t *testing.T, ts *httptest.Server, req *api.SimulateRequest) []byte {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := post(t, ts, "/v1/simulate", string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	return raw
+}
+
+// directScores is the co-exploration the request asks for, run in process
+// by sim.CoExplore with nothing cached, in wire form.
+func directScores(t *testing.T, s *Server, req *api.SimulateRequest) []api.SimScore {
+	t.Helper()
+	dev, err := device.Lookup(req.Device)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, names := simSpecs(req)
+	mix, err := simMix(req, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb := s.bbOptions(req.Options)
+	cfg := sim.CoExploreConfig{Mix: mix, Estimator: estimator, BB: bb, Workers: bb.Workers}
+	for _, name := range req.Policies {
+		p, err := sim.PolicyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policies = append(cfg.Policies, p)
+	}
+	scores, _, _, err := sim.CoExplore(context.Background(), dev, specs, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]api.SimScore, len(scores))
+	for i, sc := range scores {
+		out[i] = *wireScore(names, sc)
+	}
+	return out
+}
+
+// evalCounter counts cache-missed computes per endpoint.
+type evalCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *evalCounter) hook(endpoint string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n == nil {
+		c.n = map[string]int{}
+	}
+	c.n[endpoint]++
+}
+
+func (c *evalCounter) get(endpoint string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[endpoint]
+}
+
+// TestCoExploreFrontSharedAcrossMixes: co-explorations of one module set
+// under different mixes explore the front once, and each still scores
+// exactly what sim.CoExplore does.
+func TestCoExploreFrontSharedAcrossMixes(t *testing.T) {
+	var evals evalCounter
+	s, ts := newTestServer(t, Config{evalHook: evals.hook})
+	var stats []*api.ExploreStats
+	for _, seed := range []uint64{1, 2} {
+		req := coexploreRequest(frontPRMs(), seed)
+		_, _, done := readSimStream(t, postSim(t, ts, req))
+		if done == nil {
+			t.Fatal("stream ended without a done event")
+		}
+		if want := directScores(t, s, req); !reflect.DeepEqual(done.Scores, want) {
+			t.Errorf("seed %d: served scores differ from sim.CoExplore's", seed)
+		}
+		stats = append(stats, done.Stats)
+	}
+	if n := evals.get("coexplore-front"); n != 1 {
+		t.Errorf("front explored %d times for two mixes of one module set, want 1", n)
+	}
+	if s.met.cacheHits.Value() != 1 {
+		t.Errorf("cache hits = %d, want 1 (the second front)", s.met.cacheHits.Value())
+	}
+	if !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Errorf("done stats differ between the explored and the cached front: %+v, %+v", stats[0], stats[1])
+	}
+}
+
+// TestCoExploreFrontCoalesced: k concurrent identical co-exploration streams
+// explore the front once. The eval hook holds the leader until every stream
+// has missed the cache.
+func TestCoExploreFrontCoalesced(t *testing.T) {
+	const k = 6
+	gate := make(chan struct{})
+	var evals atomic.Int64
+	s, ts := newTestServer(t, Config{evalHook: func(endpoint string) {
+		if endpoint == "coexplore-front" {
+			evals.Add(1)
+			<-gate
+		}
+	}})
+	body, err := json.Marshal(coexploreRequest(frontPRMs(), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	bodies := make([][]byte, k)
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("stream %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], err = io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("stream %d: status %d, read error %v", i, resp.StatusCode, err)
+			}
+		}(i)
+	}
+	waitCounter(t, s.met.cacheMisses, k)
+	time.Sleep(50 * time.Millisecond)
+	close(gate)
+	wg.Wait()
+	if n := evals.Load(); n != 1 {
+		t.Errorf("front explored %d times for %d identical streams, want 1", n, k)
+	}
+	if got := s.met.coalesced.Value(); got != k-1 {
+		t.Errorf("coalesced %d front lookups, want %d", got, k-1)
+	}
+	for i := 1; i < k; i++ {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("stream %d differs from stream 0", i)
+		}
+	}
+}
+
+// TestCoExploreFrontKeyKeepsPRMOrder: the mix draws PRMs by position, so a
+// permuted module list is a different co-exploration. It gets its own front
+// entry, and its scores are sim.CoExplore's on that order.
+func TestCoExploreFrontKeyKeepsPRMOrder(t *testing.T) {
+	var evals evalCounter
+	s, ts := newTestServer(t, Config{evalHook: evals.hook})
+	prms := frontPRMs()
+	permuted := append(append([]api.PRM{}, prms[3:]...), prms[:3]...)
+	for _, list := range [][]api.PRM{prms, permuted} {
+		req := coexploreRequest(list, 4)
+		_, _, done := readSimStream(t, postSim(t, ts, req))
+		if done == nil {
+			t.Fatal("stream ended without a done event")
+		}
+		if want := directScores(t, s, req); !reflect.DeepEqual(done.Scores, want) {
+			t.Errorf("PRMs %v: served scores differ from sim.CoExplore's", list)
+		}
+	}
+	if n := evals.get("coexplore-front"); n != 2 {
+		t.Errorf("front explored %d times for two PRM orders, want 2", n)
+	}
+}
+
+// TestCoExploreSummaryNestsFrontLookup: a summary-only co-exploration is a
+// cached response whose compute looks its front up in the same cache. The
+// nested lookup must neither deadlock nor change the reply, and the cached
+// reply must be served on repeat.
+func TestCoExploreSummaryNestsFrontLookup(t *testing.T) {
+	var evals evalCounter
+	s, ts := newTestServer(t, Config{evalHook: evals.hook})
+	req := coexploreRequest(frontPRMs(), 5)
+	req.SummaryOnly = true
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raws [][]byte
+	for i, want := range []string{"miss", "hit"} {
+		resp, raw := post(t, ts, "/v1/simulate", string(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, raw)
+		}
+		if h := resp.Header.Get("X-Cache"); h != want {
+			t.Errorf("request %d X-Cache = %q, want %q", i, h, want)
+		}
+		raws = append(raws, raw)
+	}
+	if !bytes.Equal(raws[0], raws[1]) {
+		t.Error("the cached summary differs from the computed one")
+	}
+	if evals.get("simulate") != 1 || evals.get("coexplore-front") != 1 {
+		t.Errorf("computed %d summaries and %d fronts, want 1 and 1",
+			evals.get("simulate"), evals.get("coexplore-front"))
+	}
+	_, _, done := readSimStream(t, raws[0])
+	if done == nil {
+		t.Fatal("summary has no done event")
+	}
+	if want := directScores(t, s, req); !reflect.DeepEqual(done.Scores, want) {
+		t.Error("summary scores differ from sim.CoExplore's")
+	}
+}
+
+// TestCoExploreCacheOffSameReplies: with the response cache off every
+// co-exploration explores its own front, and every reply is byte-identical
+// to a caching server's.
+func TestCoExploreCacheOffSameReplies(t *testing.T) {
+	var onEvals, offEvals evalCounter
+	_, on := newTestServer(t, Config{evalHook: onEvals.hook})
+	_, off := newTestServer(t, Config{CacheEntries: -1, evalHook: offEvals.hook})
+	summary := coexploreRequest(frontPRMs(), 6)
+	summary.SummaryOnly = true
+	reqs := []*api.SimulateRequest{
+		coexploreRequest(frontPRMs(), 6), coexploreRequest(frontPRMs(), 7), summary, summary,
+	}
+	for i, req := range reqs {
+		if a, b := postSim(t, on, req), postSim(t, off, req); !bytes.Equal(a, b) {
+			t.Errorf("request %d: cache-off reply differs from the cached server's", i)
+		}
+	}
+	if n := onEvals.get("coexplore-front"); n != 1 {
+		t.Errorf("caching server explored %d fronts, want 1", n)
+	}
+	if n := offEvals.get("coexplore-front"); n != len(reqs) {
+		t.Errorf("cache-off server explored %d fronts for %d requests, want one each", n, len(reqs))
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -108,5 +109,64 @@ func BenchmarkCoExplore(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// timedPolicy wraps a policy and accounts its Decide calls and their time.
+type timedPolicy struct {
+	Policy
+	calls int64
+	ns    time.Duration
+}
+
+func (p *timedPolicy) Decide(v *View) (Action, bool) {
+	t0 := time.Now()
+	act, ok := p.Policy.Decide(v)
+	p.ns += time.Since(t0)
+	p.calls++
+	return act, ok
+}
+
+// BenchmarkReadyDepth sweeps the ready-queue depth: q jobs over three
+// priority levels arrive at once on the two-slot test platform, so the
+// queue starts q deep and drains. It reports ns per event (the whole run,
+// ready-queue inserts included) and ns per Decide (time inside the policy)
+// for each policy. priority and reconfig stop at the first priority level
+// that cannot start, so their Decide stays flat in q; fcfs scans the whole
+// queue for the earliest arrival.
+func BenchmarkReadyDepth(b *testing.B) {
+	for _, q := range []int{10, 100, 1000, 10000} {
+		mix := Mix{Jobs: q, Seed: 11, Arrival: ArrivalSimultaneous,
+			MeanExec: 200 * time.Microsecond, PriorityLevels: 3}
+		jobs, err := mix.Generate(len(testPlatform().PRMs))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range PolicyNames() {
+			b.Run(fmt.Sprintf("q=%d/%s", q, name), func(b *testing.B) {
+				pol, _ := PolicyByName(name)
+				timed := &timedPolicy{Policy: pol}
+				cfg := testConfig(timed)
+				run := func(en *engine) {
+					en.reset(cfg, jobs)
+					en.pushArrivals()
+					if err := en.loop(context.Background(), nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				en := new(engine)
+				run(en) // size the arena outside the timed loop
+				timed.calls, timed.ns = 0, 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run(en)
+				}
+				b.StopTimer()
+				n := float64(b.N)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(n*float64(en.events)), "ns/event")
+				b.ReportMetric(float64(timed.ns.Nanoseconds())/float64(timed.calls), "ns/decide")
+			})
+		}
 	}
 }

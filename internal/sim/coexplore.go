@@ -12,6 +12,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/icap"
+	"repro/internal/obs"
 )
 
 // DefaultMaxOrgs caps how many Pareto-front organizations one co-exploration
@@ -56,18 +57,9 @@ type coexPair struct {
 	err   error
 }
 
-// CoExplore runs the branch-and-bound explorer to the exact Pareto front,
-// realizes each front organization as a Platform, and scores it against one
-// seeded job mix under each policy, fanning the organization replays out
-// over a worker pool (CoExploreConfig.Workers). Scores come back ranked by
-// (policy, p99 waiting time, front order); because every run is
-// deterministic and the ranked order is a total key, a parallel sweep
-// returns byte-identical scores to a sequential one. snap (may be nil)
-// streams progress snapshots labelled with the organization and policy
-// being simulated; score (may be nil) fires after each finished run, in
-// completion order under parallel replay. Callbacks are never invoked
-// concurrently. Either callback returning false stops the co-exploration
-// early with the scores accumulated so far.
+// CoExplore runs the branch-and-bound explorer to the exact Pareto front and
+// scores the front with ScoreFront. It returns the ranked scores, the front
+// and the explorer's statistics.
 func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExploreConfig,
 	snap func(org int, policy string, s Snapshot) bool,
 	score func(OrgScore) bool) ([]OrgScore, []dse.DesignPoint, dse.BBStats, error) {
@@ -75,10 +67,39 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 	if len(specs) == 0 {
 		return nil, nil, dse.BBStats{}, fmt.Errorf("sim: co-exploration needs PRM specs")
 	}
-	est := cfg.Estimator
-	if est == nil {
-		est = icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}
+	prms := make([]dse.PRM, len(specs))
+	for i, sp := range specs {
+		prms[i] = dse.PRM{Name: sp.Name, Req: sp.Req}
 	}
+	cfg.Estimator = estimatorOrDefault(cfg.Estimator)
+	e := &dse.Explorer{Device: dev, Estimator: cfg.Estimator}
+	front, stats, err := e.ExploreParetoBB(ctx, prms, cfg.BB)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	scores, err := ScoreFront(ctx, dev, specs, front, cfg, snap, score)
+	return scores, front, stats, err
+}
+
+// ScoreFront realizes each organization of an exact Pareto front of specs
+// (at most the first DefaultMaxOrgs, in front order) as a Platform and
+// scores it against one seeded job mix under each policy, fanning the
+// organization replays out over a worker pool (CoExploreConfig.Workers; the
+// BB field is unused). Scores come back ranked by (policy, p99 waiting
+// time, front order); because every run is deterministic and the ranked
+// order is a total key, a parallel sweep returns byte-identical scores to a
+// sequential one. snap (may be nil) streams progress snapshots labelled
+// with the organization and policy being simulated; score (may be nil)
+// fires after each finished run, in completion order under parallel
+// replay. Callbacks are never invoked concurrently. Either callback
+// returning false stops the sweep early with the scores accumulated so far.
+func ScoreFront(ctx context.Context, dev *device.Device, specs []Spec, front []dse.DesignPoint, cfg CoExploreConfig,
+	snap func(org int, policy string, s Snapshot) bool,
+	score func(OrgScore) bool) ([]OrgScore, error) {
+
+	ctx, span := obs.StartSpan(ctx, "sim.score_front")
+	defer span.End()
+	est := estimatorOrDefault(cfg.Estimator)
 	policies := cfg.Policies
 	if len(policies) == 0 {
 		for _, name := range PolicyNames() {
@@ -86,19 +107,9 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 			policies = append(policies, p)
 		}
 	}
-
-	prms := make([]dse.PRM, len(specs))
-	for i, sp := range specs {
-		prms[i] = dse.PRM{Name: sp.Name, Req: sp.Req}
-	}
-	e := &dse.Explorer{Device: dev, Estimator: est}
-	front, stats, err := e.ExploreParetoBB(ctx, prms, cfg.BB)
-	if err != nil {
-		return nil, nil, stats, err
-	}
 	jobs, err := cfg.Mix.Generate(len(specs))
 	if err != nil {
-		return nil, front, stats, err
+		return nil, err
 	}
 
 	var orgs []int // front indexes to score, in front order
@@ -112,7 +123,7 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 		orgs = append(orgs, oi)
 	}
 	if len(orgs) == 0 {
-		return nil, front, stats, nil
+		return nil, nil
 	}
 
 	workers := cfg.Workers
@@ -237,10 +248,8 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 		}
 	}
 	RankByP99(scores)
-	if firstErr != nil {
-		return scores, front, stats, firstErr
-	}
-	return scores, front, stats, nil
+	span.SetAttr("orgs", len(orgs)).SetAttr("scores", len(scores))
+	return scores, firstErr
 }
 
 // RankByP99 orders scores by (policy, p99 waiting time, front order), the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -15,6 +16,8 @@ type ReadyView struct {
 	// Restore is true when starting the job replays a saved context
 	// (restore transfer) instead of a cold load.
 	Restore bool
+	// job indexes the engine's job list.
+	job int
 }
 
 // SlotView is one slot as the policy sees it.
@@ -28,8 +31,9 @@ type SlotView struct {
 }
 
 // View is the read-only scheduling state handed to a Policy. Ready is in
-// queue order (arrival order, preempted jobs re-queued at the tail);
-// policies wanting strict arrival order must use the Arrival field.
+// priority order: priority descending, then arrival, then job ID, with a
+// preempted job re-queued at its place in that order. It aliases the
+// engine's ready queue, so policies must neither modify nor retain it.
 type View struct {
 	Now   time.Duration
 	Ready []ReadyView
@@ -70,21 +74,13 @@ type Policy interface {
 }
 
 func (en *engine) view(now time.Duration) *View {
-	en.viewReady = en.viewReady[:0]
-	for _, rj := range en.ready {
-		j := en.jobs[rj.job]
-		en.viewReady = append(en.viewReady, ReadyView{
-			Job: j.ID, PRM: j.PRM, Priority: j.Priority, Arrival: j.Arrival,
-			Remaining: rj.remaining, Restore: rj.restore,
-		})
-	}
 	en.viewSlots = en.viewSlots[:0]
 	for i := range en.slots {
 		sl := &en.slots[i]
 		sv := SlotView{State: sl.state, Loaded: sl.loaded}
 		if sl.state == SlotRunning {
-			sv.Priority = en.jobs[sl.cur.job].Priority
-			sv.Remaining = sl.cur.remaining - (now - sl.started)
+			sv.Priority = sl.cur.Priority
+			sv.Remaining = sl.cur.Remaining - (now - sl.started)
 			if sv.Remaining < 0 {
 				sv.Remaining = 0
 			}
@@ -93,8 +89,25 @@ func (en *engine) view(now time.Duration) *View {
 	}
 	// The engine-owned View is rebuilt in place each dispatch iteration so
 	// the hot loop never allocates; policies must not retain it.
-	en.viewBuf = View{Now: now, Ready: en.viewReady, Slots: en.viewSlots, en: en}
+	en.viewBuf = View{Now: now, Ready: en.ready, Slots: en.viewSlots, en: en}
 	return &en.viewBuf
+}
+
+// startFloor is the priority at or below which no ready job can start: a
+// job starts on an idle slot or by evicting a strictly lower-priority
+// running task, and a loading slot takes neither. With a slot idle every
+// level may start; otherwise a job must outrank the weakest running task.
+func startFloor(v *View) int {
+	floor := math.MaxInt
+	for _, sv := range v.Slots {
+		switch sv.State {
+		case SlotIdle:
+			return math.MinInt
+		case SlotRunning:
+			floor = min(floor, sv.Priority)
+		}
+	}
+	return floor
 }
 
 // FCFSBestFit serves the earliest-arrived waiting job only (head-of-line
@@ -148,8 +161,11 @@ func (PreemptPriority) Name() string { return "priority" }
 
 // Decide implements Policy.
 func (PreemptPriority) Decide(v *View) (Action, bool) {
-	for _, ri := range priorityOrder(v) {
-		r := v.Ready[ri]
+	floor := startFloor(v)
+	for ri, r := range v.Ready {
+		if r.Priority <= floor {
+			break // Ready is in priority order: no later job starts either
+		}
 		// Idle slot first: warm, then smallest, then lowest index.
 		best, bestTiles, bestWarm := -1, 0, false
 		for _, s := range v.Compat(r.PRM) {
@@ -196,8 +212,11 @@ func (ReconfigAware) Name() string { return "reconfig" }
 
 // Decide implements Policy.
 func (ReconfigAware) Decide(v *View) (Action, bool) {
-	for _, ri := range priorityOrder(v) {
-		r := v.Ready[ri]
+	floor := startFloor(v)
+	for ri, r := range v.Ready {
+		if r.Priority <= floor {
+			break // Ready is in priority order: no later job starts either
+		}
 		startCost := func(s int) time.Duration {
 			if r.Restore {
 				return v.RestoreTime(s)
@@ -232,32 +251,6 @@ func (ReconfigAware) Decide(v *View) (Action, bool) {
 		}
 	}
 	return Action{}, false
-}
-
-// priorityOrder returns ready indexes sorted by (priority desc, arrival
-// asc, job asc) without mutating the view. The index slice is an
-// engine-owned scratch buffer reused across dispatch iterations, so sorting
-// the ready queue allocates nothing in steady state.
-func priorityOrder(v *View) []int {
-	ready := v.Ready
-	order := v.en.orderBuf[:0]
-	for i := range ready {
-		order = append(order, i)
-	}
-	v.en.orderBuf = order
-	// Insertion sort: ready queues are short and mostly ordered.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ready[order[j-1]], ready[order[j]]
-			if a.Priority > b.Priority ||
-				(a.Priority == b.Priority && (a.Arrival < b.Arrival ||
-					(a.Arrival == b.Arrival && a.Job < b.Job))) {
-				break
-			}
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
-	return order
 }
 
 // PolicyNames lists the built-in policies in presentation order.

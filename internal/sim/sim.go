@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -196,18 +197,10 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// readyJob is a queued task instance: remaining execution time and whether
-// starting it replays a saved context instead of a cold load.
-type readyJob struct {
-	job       int
-	remaining time.Duration
-	restore   bool
-}
-
 type slotRT struct {
 	state     SlotState
 	loaded    int // PRM resident in the fabric; -1 when scrubbed or mid-transfer
-	cur       readyJob
+	cur       ReadyView
 	started   time.Duration // current exec burst start (valid in SlotRunning)
 	endSeq    int           // seq of the live completion event
 	busy      time.Duration
@@ -223,9 +216,11 @@ type engine struct {
 	cfg  Config
 	jobs []Job
 
-	h     eventHeap
-	seq   int
-	ready []readyJob
+	h   eventHeap
+	seq int
+	// ready is the queue in priority order (see View.Ready); policies
+	// read it in place.
+	ready []ReadyView
 	slots []slotRT
 
 	// per-slot transfer durations, precomputed from the estimator
@@ -253,10 +248,8 @@ type engine struct {
 	events      int
 	stopped     bool
 
-	viewReady []ReadyView
 	viewSlots []SlotView
 	viewBuf   View
-	orderBuf  []int
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
@@ -350,9 +343,7 @@ func Run(ctx context.Context, cfg Config, jobs []Job, visit func(Snapshot) bool)
 			return Result{}, fmt.Errorf("sim: job %d has non-positive exec time", j.ID)
 		}
 	}
-	if cfg.Estimator == nil {
-		cfg.Estimator = icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}
-	}
+	cfg.Estimator = estimatorOrDefault(cfg.Estimator)
 
 	en := enginePool.Get().(*engine)
 	defer en.release()
@@ -372,6 +363,15 @@ func Run(ctx context.Context, cfg Config, jobs []Job, visit func(Snapshot) bool)
 		return res, fmt.Errorf("sim: policy %s stranded %d jobs", cfg.Policy.Name(), len(jobs)-en.completed)
 	}
 	return res, nil
+}
+
+// estimatorOrDefault is est, or the 32-bit ICAP fed from DDR SDRAM when est
+// is nil.
+func estimatorOrDefault(est icap.Estimator) icap.Estimator {
+	if est == nil {
+		return icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}
+	}
+	return est
 }
 
 // pushArrivals seeds the heap in input order: seq equals the input index,
@@ -403,10 +403,12 @@ func (en *engine) loop(ctx context.Context, visit func(Snapshot) bool) error {
 		switch e.kind {
 		case evArrival:
 			en.submitted++
-			en.ready = append(en.ready, readyJob{job: e.job, remaining: en.jobs[e.job].Exec})
+			j := &en.jobs[e.job]
+			en.enqueue(ReadyView{Job: j.ID, PRM: j.PRM, Priority: j.Priority,
+				Arrival: j.Arrival, Remaining: j.Exec, job: e.job})
 		case evLoaded:
 			sl := &en.slots[e.slot]
-			sl.loaded = en.jobs[sl.cur.job].PRM
+			sl.loaded = sl.cur.PRM
 			en.beginExec(e.at, e.slot, sl.cur)
 		case evDone:
 			sl := &en.slots[e.slot]
@@ -482,11 +484,22 @@ func (en *engine) xfer(at time.Duration, dur time.Duration, slot int) (start, do
 	return start, done
 }
 
-func (en *engine) removeReady(i int) readyJob {
-	rj := en.ready[i]
-	copy(en.ready[i:], en.ready[i+1:])
-	en.ready = en.ready[:len(en.ready)-1]
-	return rj
+// enqueue inserts r into the ready queue after every job that sorts before
+// or level with it, so the queue stays in (priority desc, arrival, job ID)
+// order. Arrivals come in time order and mostly land at the tail of their
+// level.
+func (en *engine) enqueue(r ReadyView) {
+	i := sort.Search(len(en.ready), func(i int) bool {
+		q := &en.ready[i]
+		if q.Priority != r.Priority {
+			return q.Priority < r.Priority
+		}
+		if q.Arrival != r.Arrival {
+			return q.Arrival > r.Arrival
+		}
+		return q.Job > r.Job
+	})
+	en.ready = slices.Insert(en.ready, i, r)
 }
 
 // dispatch runs the policy until it passes or proposes an invalid action.
@@ -511,7 +524,7 @@ func (en *engine) apply(now time.Duration, act Action) bool {
 		return false
 	}
 	rj := en.ready[act.Ready]
-	prm := &en.cfg.Platform.PRMs[en.jobs[rj.job].PRM]
+	prm := &en.cfg.Platform.PRMs[rj.PRM]
 	ok := false
 	for _, s := range prm.Compat {
 		if s == act.Slot {
@@ -525,14 +538,14 @@ func (en *engine) apply(now time.Duration, act Action) bool {
 	sl := &en.slots[act.Slot]
 	switch {
 	case sl.state == SlotIdle && !act.Preempt:
-		en.removeReady(act.Ready)
+		en.ready = slices.Delete(en.ready, act.Ready, act.Ready+1)
 		en.startOn(now, act.Slot, rj)
 		return true
 	case sl.state == SlotRunning && act.Preempt:
-		if en.jobs[rj.job].Priority <= en.jobs[sl.cur.job].Priority {
+		if rj.Priority <= sl.cur.Priority {
 			return false
 		}
-		en.removeReady(act.Ready)
+		en.ready = slices.Delete(en.ready, act.Ready, act.Ready+1)
 		en.preempt(now, act.Slot, rj)
 		return true
 	}
@@ -543,16 +556,15 @@ func (en *engine) apply(now time.Duration, act Action) bool {
 
 // startOn occupies an idle slot: immediately when the module is already
 // resident, otherwise after a load (or restore) transfer through the ICAP.
-func (en *engine) startOn(now time.Duration, si int, rj readyJob) {
+func (en *engine) startOn(now time.Duration, si int, rj ReadyView) {
 	sl := &en.slots[si]
-	prm := en.jobs[rj.job].PRM
-	if sl.loaded == prm && !rj.restore {
+	if sl.loaded == rj.PRM && !rj.Restore {
 		sl.cur = rj
 		en.beginExec(now, si, rj)
 		return
 	}
 	dur := en.loadDur[si]
-	if rj.restore {
+	if rj.Restore {
 		dur = en.restoreDur[si]
 	}
 	_, done := en.xfer(now, dur, si)
@@ -564,39 +576,40 @@ func (en *engine) startOn(now time.Duration, si int, rj readyJob) {
 	en.push(event{at: done, kind: evLoaded, slot: si})
 }
 
-func (en *engine) beginExec(now time.Duration, si int, rj readyJob) {
+func (en *engine) beginExec(now time.Duration, si int, rj ReadyView) {
 	sl := &en.slots[si]
 	sl.state = SlotRunning
 	sl.cur = rj
 	sl.started = now
-	sl.endSeq = en.push(event{at: now + rj.remaining, kind: evDone, slot: si})
+	sl.endSeq = en.push(event{at: now + rj.Remaining, kind: evDone, slot: si})
 }
 
 // preempt evicts the running task: after the capture settle its context is
 // saved out through the ICAP, then the preemptor's load queues behind the
-// save on the same FIFO. The victim re-enters the ready queue with its
-// remaining time and a restore flag.
-func (en *engine) preempt(now time.Duration, si int, rj readyJob) {
+// save on the same FIFO. The victim re-enters the ready queue, at its place
+// in priority order, with its remaining time and a restore flag.
+func (en *engine) preempt(now time.Duration, si int, rj ReadyView) {
 	sl := &en.slots[si]
 	victim := sl.cur
 	executed := now - sl.started
 	if executed < 0 {
 		executed = 0
 	}
-	rem := victim.remaining - executed
-	if rem < 0 {
-		rem = 0
+	victim.Remaining -= executed
+	if victim.Remaining < 0 {
+		victim.Remaining = 0
 	}
 	sl.busy += executed
 	en.preemptions++
 	metPreemptions.Inc()
 	en.xfer(now+DefaultCaptureOverhead, en.saveDur[si], si)
-	en.ready = append(en.ready, readyJob{job: victim.job, remaining: rem, restore: true})
+	victim.Restore = true
+	en.enqueue(victim)
 	// The victim's completion event dies by seq mismatch; the slot loads
 	// the preemptor next.
 	sl.loaded = -1
 	dur := en.loadDur[si]
-	if rj.restore {
+	if rj.Restore {
 		dur = en.restoreDur[si]
 	}
 	_, done := en.xfer(now, dur, si)
