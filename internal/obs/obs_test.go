@@ -1,9 +1,13 @@
 package obs
 
 import (
+	"math"
+	"math/rand/v2"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestCounterGauge: basic atomic semantics, including counter monotonicity.
@@ -42,6 +46,46 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if s.Sum != 1063.5 {
 		t.Errorf("sum = %g, want 1063.5", s.Sum)
+	}
+}
+
+// TestObserveDurationsMatchesObserve: a batch lands in exactly the buckets
+// and count that per-value Observe gives its values, bound values, zero and
+// overflow included, and its sum agrees to 1e-9 relative. The 40-bound
+// layout is wider than the batch's stack tally.
+func TestObserveDurationsMatchesObserve(t *testing.T) {
+	wide := make([]float64, 40)
+	for i := range wide {
+		wide[i] = float64(i+1) * 0.05
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, bounds := range [][]float64{LatencyBuckets, {1e-3}, wide} {
+		batch, each := newHistogram(bounds), newHistogram(bounds)
+		for rep := 0; rep < 6; rep++ {
+			ds := make([]time.Duration, rng.IntN(400))
+			for i := range ds {
+				switch rng.IntN(4) {
+				case 0: // exactly on a bound
+					ds[i] = time.Duration(bounds[rng.IntN(len(bounds))] * 1e9)
+				case 1:
+					ds[i] = time.Duration(rng.Int64N(int64(time.Millisecond)))
+				default:
+					ds[i] = time.Duration(rng.Int64N(int64(12 * time.Second)))
+				}
+			}
+			batch.ObserveDurations(ds)
+			for _, d := range ds {
+				each.Observe(d.Seconds())
+			}
+		}
+		got, want := batch.Snapshot(), each.Snapshot()
+		if !reflect.DeepEqual(got.Counts, want.Counts) || got.Count != want.Count {
+			t.Errorf("%d bounds: batch counts %v (count %d), per-value %v (count %d)",
+				len(bounds), got.Counts, got.Count, want.Counts, want.Count)
+		}
+		if math.Abs(got.Sum-want.Sum) > 1e-9*math.Abs(want.Sum) {
+			t.Errorf("%d bounds: batch sum %g, per-value sum %g", len(bounds), got.Sum, want.Sum)
+		}
 	}
 }
 

@@ -42,18 +42,29 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // post issues one JSON POST and returns the response with its body read.
+// It fails the test on a transport error, so only the test goroutine may
+// call it; spawned goroutines call tryPost and report with t.Errorf.
 func post(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, []byte) {
 	t.Helper()
+	resp, raw, err := tryPost(ts, path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// tryPost is post returning its transport error.
+func tryPost(ts *httptest.Server, path, body string) (*http.Response, []byte, error) {
 	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST %s: %v", path, err)
+		return nil, nil, fmt.Errorf("POST %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("POST %s: reading body: %v", path, err)
+		return nil, nil, fmt.Errorf("POST %s: reading body: %v", path, err)
 	}
-	return resp, raw
+	return resp, raw, nil
 }
 
 // waitCounter polls until the counter reaches want, or fails after a second.
@@ -246,7 +257,11 @@ func TestCoalescingKToOne(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, raw := post(t, ts, "/v1/prr", body)
+			resp, raw, err := tryPost(ts, "/v1/prr", body)
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("request %d: status %d", i, resp.StatusCode)
 			}
@@ -338,7 +353,12 @@ func TestInflightShed(t *testing.T) {
 	})
 	held := make(chan int, 1)
 	go func() {
-		resp, _ := post(t, ts, "/v1/prr", `{"device":"XC6VLX75T","prms":[{"req":{"luts":100,"ffs":100}}]}`)
+		resp, _, err := tryPost(ts, "/v1/prr", `{"device":"XC6VLX75T","prms":[{"req":{"luts":100,"ffs":100}}]}`)
+		if err != nil {
+			t.Errorf("held request: %v", err)
+			held <- 0
+			return
+		}
 		held <- resp.StatusCode
 	}()
 	<-entered

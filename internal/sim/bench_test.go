@@ -37,7 +37,6 @@ func BenchmarkSimRun(b *testing.B) {
 		cfg := testConfig(ReconfigAware{})
 		en := new(engine)
 		en.reset(cfg, jobs) // size the arena outside the timed loop
-		en.pushArrivals()
 		if err := en.loop(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +45,6 @@ func BenchmarkSimRun(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			en.reset(cfg, jobs)
-			en.pushArrivals()
 			if err := en.loop(context.Background(), nil); err != nil {
 				b.Fatal(err)
 			}
@@ -132,8 +130,10 @@ func (p *timedPolicy) Decide(v *View) (Action, bool) {
 // queue starts q deep and drains. It reports ns per event (the whole run,
 // ready-queue inserts included) and ns per Decide (time inside the policy)
 // for each policy. priority and reconfig stop at the first priority level
-// that cannot start, so their Decide stays flat in q; fcfs scans the whole
-// queue for the earliest arrival.
+// that cannot start, so their Decide stays flat in q; fcfs compares the
+// level heads, O(levels · log q). What still grows with q is the insert:
+// the burst of q arrivals at t=0 each move the part of the queue after
+// their level's tail.
 func BenchmarkReadyDepth(b *testing.B) {
 	for _, q := range []int{10, 100, 1000, 10000} {
 		mix := Mix{Jobs: q, Seed: 11, Arrival: ArrivalSimultaneous,
@@ -149,7 +149,6 @@ func BenchmarkReadyDepth(b *testing.B) {
 				cfg := testConfig(timed)
 				run := func(en *engine) {
 					en.reset(cfg, jobs)
-					en.pushArrivals()
 					if err := en.loop(context.Background(), nil); err != nil {
 						b.Fatal(err)
 					}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 )
 
@@ -25,9 +26,8 @@ type SlotView struct {
 	State SlotState
 	// Loaded is the resident PRM index, -1 when scrubbed or mid-transfer.
 	Loaded int
-	// Priority and Remaining describe the running job (SlotRunning only).
-	Priority  int
-	Remaining time.Duration
+	// Priority is the running job's (SlotRunning only).
+	Priority int
 }
 
 // View is the read-only scheduling state handed to a Policy. Ready is in
@@ -80,16 +80,12 @@ func (en *engine) view(now time.Duration) *View {
 		sv := SlotView{State: sl.state, Loaded: sl.loaded}
 		if sl.state == SlotRunning {
 			sv.Priority = sl.cur.Priority
-			sv.Remaining = sl.cur.Remaining - (now - sl.started)
-			if sv.Remaining < 0 {
-				sv.Remaining = 0
-			}
 		}
 		en.viewSlots = append(en.viewSlots, sv)
 	}
 	// The engine-owned View is rebuilt in place each dispatch iteration so
 	// the hot loop never allocates; policies must not retain it.
-	en.viewBuf = View{Now: now, Ready: en.ready, Slots: en.viewSlots, en: en}
+	en.viewBuf = View{Now: now, Ready: en.ready[en.head:], Slots: en.viewSlots, en: en}
 	return &en.viewBuf
 }
 
@@ -121,15 +117,22 @@ func (FCFSBestFit) Name() string { return "fcfs" }
 
 // Decide implements Policy.
 func (FCFSBestFit) Decide(v *View) (Action, bool) {
-	head := -1
-	for i, r := range v.Ready {
-		if head < 0 || r.Arrival < v.Ready[head].Arrival ||
-			(r.Arrival == v.Ready[head].Arrival && r.Job < v.Ready[head].Job) {
+	if len(v.Ready) == 0 {
+		return Action{}, false
+	}
+	// Each priority level of Ready is in (arrival, job ID) order, so the
+	// earliest arrival heads its level: compare the level heads only,
+	// finding each next level by binary search.
+	head := 0
+	for i := 0; ; {
+		p := v.Ready[i].Priority
+		i += sort.Search(len(v.Ready)-i, func(k int) bool { return v.Ready[i+k].Priority < p })
+		if i == len(v.Ready) {
+			break
+		}
+		if r, h := &v.Ready[i], &v.Ready[head]; r.Arrival < h.Arrival || r.Arrival == h.Arrival && r.Job < h.Job {
 			head = i
 		}
-	}
-	if head < 0 {
-		return Action{}, false
 	}
 	r := v.Ready[head]
 	best, bestTiles, bestWarm := -1, 0, false

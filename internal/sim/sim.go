@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -149,7 +150,9 @@ type event struct {
 // shape — swapping the old container/heap binary heap for this one cannot
 // change a replay. The 4-ary layout halves the tree depth (fewer cache
 // lines per sift) and the typed push/pop avoid the interface{} boxing that
-// cost two allocations per event.
+// cost two allocations per event. It holds only the events the run
+// generates (loads and completions, at most two per slot live at once);
+// arrivals stream from the engine's cursor instead (see engine.next).
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
@@ -218,9 +221,15 @@ type engine struct {
 
 	h   eventHeap
 	seq int
-	// ready is the queue in priority order (see View.Ready); policies
-	// read it in place.
+	// arrived counts the arrivals handed out so far. order is the jobs'
+	// (Arrival, input index) order when the input is not already in it,
+	// and empty when it is.
+	arrived int
+	order   []int
+	// ready[head:] is the queue in priority order (see View.Ready);
+	// policies read it in place. Taking the head advances head.
 	ready []ReadyView
+	head  int
 	slots []slotRT
 
 	// per-slot transfer durations, precomputed from the estimator
@@ -233,6 +242,9 @@ type engine struct {
 	icapFreeAt time.Duration
 	icapBusy   time.Duration
 	transfers  int64
+	// xferDurs lists every transfer's duration for the once-per-run
+	// sim_reconfig_seconds observation.
+	xferDurs []time.Duration
 
 	now         time.Duration
 	submitted   int
@@ -273,11 +285,17 @@ func (en *engine) reset(cfg Config, jobs []Job) {
 	}
 
 	en.h = en.h[:0]
-	en.seq = 0
+	// Arrivals take seq = input index (see next), so generated events
+	// number from len(jobs) on.
+	en.seq = len(jobs)
+	en.arrived = 0
+	en.orderArrivals()
 	en.ready = en.ready[:0]
+	en.head = 0
 	en.icapFreeAt = 0
 	en.icapBusy = 0
 	en.transfers = 0
+	en.xferDurs = en.xferDurs[:0]
 	en.now = 0
 	en.submitted = 0
 	en.completed = 0
@@ -348,7 +366,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job, visit func(Snapshot) bool)
 	en := enginePool.Get().(*engine)
 	defer en.release()
 	en.reset(cfg, jobs)
-	en.pushArrivals()
 
 	start := time.Now()
 	err := en.loop(ctx, visit)
@@ -374,13 +391,44 @@ func estimatorOrDefault(est icap.Estimator) icap.Estimator {
 	return est
 }
 
-// pushArrivals seeds the heap in input order: seq equals the input index,
-// so the heap pops arrivals in (Arrival, input order) — the same tie-break
-// the old pre-sorted push produced, without sorting an index slice first.
-func (en *engine) pushArrivals() {
-	for ji := range en.jobs {
-		en.push(event{at: en.jobs[ji].Arrival, kind: evArrival, job: ji})
+// orderArrivals fills en.order with the job indexes stably sorted by
+// Arrival, or leaves it empty when the input is already in that order (as
+// Mix.Generate's output is).
+func (en *engine) orderArrivals() {
+	en.order = en.order[:0]
+	jobs := en.jobs
+	for i := 1; i < len(jobs); i++ {
+		if jobs[i].Arrival < jobs[i-1].Arrival {
+			for ji := range jobs {
+				en.order = append(en.order, ji)
+			}
+			slices.SortStableFunc(en.order, func(a, b int) int {
+				return cmp.Compare(jobs[a].Arrival, jobs[b].Arrival)
+			})
+			return
+		}
 	}
+}
+
+// pending reports whether an arrival or a generated event is left.
+func (en *engine) pending() bool { return en.arrived < len(en.jobs) || len(en.h) > 0 }
+
+// next takes the next event in (at, seq) order: the next arrival or the
+// heap top. An arrival's seq is its input index, and every generated event
+// numbers from len(jobs) on, so an arrival wins a tie in virtual time —
+// the order a heap holding every arrival from the start would pop.
+func (en *engine) next() event {
+	if en.arrived < len(en.jobs) {
+		ji := en.arrived
+		if len(en.order) > 0 {
+			ji = en.order[ji]
+		}
+		if at := en.jobs[ji].Arrival; len(en.h) == 0 || at <= en.h[0].at {
+			en.arrived++
+			return event{at: at, seq: ji, kind: evArrival, job: ji}
+		}
+	}
+	return en.h.pop()
 }
 
 func (en *engine) push(e event) int {
@@ -391,42 +439,50 @@ func (en *engine) push(e event) int {
 }
 
 func (en *engine) loop(ctx context.Context, visit func(Snapshot) bool) error {
-	for len(en.h) > 0 {
+	for en.pending() {
 		en.events++
 		if en.events&1023 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		e := en.h.pop()
-		en.now = e.at
-		switch e.kind {
-		case evArrival:
-			en.submitted++
-			j := &en.jobs[e.job]
-			en.enqueue(ReadyView{Job: j.ID, PRM: j.PRM, Priority: j.Priority,
-				Arrival: j.Arrival, Remaining: j.Exec, job: e.job})
-		case evLoaded:
-			sl := &en.slots[e.slot]
-			sl.loaded = sl.cur.PRM
-			en.beginExec(e.at, e.slot, sl.cur)
-		case evDone:
-			sl := &en.slots[e.slot]
-			if sl.state != SlotRunning || sl.endSeq != e.seq {
-				continue // cancelled by a preemption
-			}
-			en.complete(e.at, e.slot)
-			if en.cfg.SnapshotEvery > 0 && en.completed%en.cfg.SnapshotEvery == 0 && en.completed < len(en.jobs) {
-				if !en.emit(visit) {
-					en.stopped = true
-					return nil
-				}
-			}
+		if !en.step(en.next(), visit) {
+			en.stopped = true
+			return nil
 		}
-		en.dispatch(e.at)
 	}
 	en.emit(visit) // final snapshot; stream end follows regardless
 	return nil
+}
+
+// step handles one event and the dispatch round after it. It returns false
+// when visit stops the run at a snapshot.
+func (en *engine) step(e event, visit func(Snapshot) bool) bool {
+	en.now = e.at
+	switch e.kind {
+	case evArrival:
+		en.submitted++
+		j := &en.jobs[e.job]
+		en.enqueue(ReadyView{Job: j.ID, PRM: j.PRM, Priority: j.Priority,
+			Arrival: j.Arrival, Remaining: j.Exec, job: e.job})
+	case evLoaded:
+		sl := &en.slots[e.slot]
+		sl.loaded = sl.cur.PRM
+		en.beginExec(e.at, e.slot, sl.cur)
+	case evDone:
+		sl := &en.slots[e.slot]
+		if sl.state != SlotRunning || sl.endSeq != e.seq {
+			return true // cancelled by a preemption
+		}
+		en.complete(e.at, e.slot)
+		if en.cfg.SnapshotEvery > 0 && en.completed%en.cfg.SnapshotEvery == 0 && en.completed < len(en.jobs) {
+			if !en.emit(visit) {
+				return false
+			}
+		}
+	}
+	en.dispatch(e.at)
+	return true
 }
 
 func (en *engine) emit(visit func(Snapshot) bool) bool {
@@ -456,7 +512,7 @@ func (en *engine) emit(visit func(Snapshot) bool) bool {
 		NowNS:       int64(en.now),
 		Submitted:   en.submitted,
 		Completed:   en.completed,
-		Ready:       len(en.ready),
+		Ready:       len(en.ready) - en.head,
 		Running:     running,
 		Reconfigs:   en.reconfigs,
 		Preemptions: en.preemptions,
@@ -480,7 +536,7 @@ func (en *engine) xfer(at time.Duration, dur time.Duration, slot int) (start, do
 	en.icapBusy += dur
 	en.transfers++
 	en.slots[slot].icap += dur
-	metReconfigTime.Observe(dur.Seconds())
+	en.xferDurs = append(en.xferDurs, dur)
 	return start, done
 }
 
@@ -489,8 +545,21 @@ func (en *engine) xfer(at time.Duration, dur time.Duration, slot int) (start, do
 // order. Arrivals come in time order and mostly land at the tail of their
 // level.
 func (en *engine) enqueue(r ReadyView) {
-	i := sort.Search(len(en.ready), func(i int) bool {
-		q := &en.ready[i]
+	if len(en.ready) == cap(en.ready) && en.head > 0 {
+		// The tail has no room. Slide the queue to the front of its array,
+		// or move it to one twice the size when less than half of this one
+		// is free, so at least len(queue) inserts pass before the next move.
+		q := en.ready[en.head:]
+		buf := en.ready[:0]
+		if en.head < len(q) {
+			buf = make([]ReadyView, 0, 2*cap(en.ready))
+		}
+		en.ready = append(buf, q...)
+		en.head = 0
+	}
+	q := en.ready[en.head:]
+	i := sort.Search(len(q), func(i int) bool {
+		q := &q[i]
 		if q.Priority != r.Priority {
 			return q.Priority < r.Priority
 		}
@@ -499,12 +568,28 @@ func (en *engine) enqueue(r ReadyView) {
 		}
 		return q.Job > r.Job
 	})
-	en.ready = slices.Insert(en.ready, i, r)
+	en.ready = slices.Insert(en.ready, en.head+i, r)
+}
+
+// take removes View.Ready[i] from the queue, moving the shorter side of it
+// over the gap: taking the head only advances the head offset.
+func (en *engine) take(i int) {
+	q := en.ready[en.head:]
+	if i < len(q)-1-i {
+		copy(q[1:i+1], q[:i])
+		en.head++
+	} else {
+		copy(q[i:], q[i+1:])
+		en.ready = en.ready[:len(en.ready)-1]
+	}
+	if en.head == len(en.ready) {
+		en.ready, en.head = en.ready[:0], 0
+	}
 }
 
 // dispatch runs the policy until it passes or proposes an invalid action.
 func (en *engine) dispatch(now time.Duration) {
-	for len(en.ready) > 0 {
+	for len(en.ready) > en.head {
 		v := en.view(now)
 		act, ok := en.cfg.Policy.Decide(v)
 		if !ok {
@@ -520,10 +605,10 @@ func (en *engine) dispatch(now time.Duration) {
 // indexes, incompatible slot, loading slot, non-strict priority preemption)
 // return false and end the dispatch round instead of corrupting state.
 func (en *engine) apply(now time.Duration, act Action) bool {
-	if act.Ready < 0 || act.Ready >= len(en.ready) || act.Slot < 0 || act.Slot >= len(en.slots) {
+	if act.Ready < 0 || act.Ready >= len(en.ready)-en.head || act.Slot < 0 || act.Slot >= len(en.slots) {
 		return false
 	}
-	rj := en.ready[act.Ready]
+	rj := en.ready[en.head+act.Ready]
 	prm := &en.cfg.Platform.PRMs[rj.PRM]
 	ok := false
 	for _, s := range prm.Compat {
@@ -538,14 +623,14 @@ func (en *engine) apply(now time.Duration, act Action) bool {
 	sl := &en.slots[act.Slot]
 	switch {
 	case sl.state == SlotIdle && !act.Preempt:
-		en.ready = slices.Delete(en.ready, act.Ready, act.Ready+1)
+		en.take(act.Ready)
 		en.startOn(now, act.Slot, rj)
 		return true
 	case sl.state == SlotRunning && act.Preempt:
 		if rj.Priority <= sl.cur.Priority {
 			return false
 		}
-		en.ready = slices.Delete(en.ready, act.Ready, act.Ready+1)
+		en.take(act.Ready)
 		en.preempt(now, act.Slot, rj)
 		return true
 	}
@@ -633,7 +718,6 @@ func (en *engine) complete(at time.Duration, si int) {
 	en.waitSum += wait
 	en.respSum += at - job.Arrival
 	en.completed++
-	metWaitTime.Observe(wait.Seconds())
 	if at > en.makespan {
 		en.makespan = at
 	}
@@ -641,8 +725,12 @@ func (en *engine) complete(at time.Duration, si int) {
 }
 
 // observe records the run on the process-wide metrics once per run, keeping
-// result() a pure function of engine state.
+// result() a pure function of engine state. The virtual-time histograms take
+// the run's wait ledger and transfer list in one batch each, so concurrent
+// replays do not contend on them per event.
 func (en *engine) observe(wall time.Duration) {
+	metWaitTime.ObserveDurations(en.waits)
+	metReconfigTime.ObserveDurations(en.xferDurs)
 	metRuns.Inc()
 	metJobs.Add(int64(en.completed))
 	metReconfigs.Add(en.reconfigs)

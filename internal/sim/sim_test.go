@@ -519,7 +519,6 @@ func TestResultStableAcrossCalls(t *testing.T) {
 	cfg := testConfig(PreemptPriority{})
 	en := new(engine)
 	en.reset(cfg, jobs)
-	en.pushArrivals()
 	if err := en.loop(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
