@@ -203,13 +203,14 @@ func (s *Server) drainable(streams, cancelled *obs.Counter, run func(ctx context
 // stream serves an NDJSON event stream. It admits the stream unless a drain
 // has begun (503), records key for the access log, and calls run under a
 // context that a client disconnect, a failed write or a forced shutdown
-// cancels. emit writes one event line, flushing the first and then every
-// flushEvery-th so clients see liveness without a syscall per line. run
-// returns the terminal event: Done on success; on an engine error, the event
-// reporting it to a still-connected client, or nil for none. Mid-stream
-// there is no status code left to change, so a cancelled stream just ends
-// without a terminal line.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string, flushEvery int,
+// cancels. emit writes one event line. The first line, the terminal line
+// and each line ev for which flushes(sent, ev) holds, sent counting lines
+// from 1, are flushed, so clients see liveness without a syscall per line.
+// run returns the terminal event: Done on success; on an engine error, the
+// event reporting it to a still-connected client, or nil for none.
+// Mid-stream there is no status code left to change, so a cancelled stream
+// just ends without a terminal line.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string, flushes func(sent int, ev any) bool,
 	streams, cancelled *obs.Counter, run func(ctx context.Context, emit func(ev any) bool) (any, error)) {
 	if !s.registerStream() {
 		annotations(r.Context()).shed = "draining"
@@ -242,7 +243,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string, flus
 			cancel() // the client is gone; stop the engine
 			return false
 		}
-		if sent++; sent == 1 || sent%flushEvery == 0 {
+		if sent++; sent == 1 || flushes(sent, ev) {
 			flush()
 		}
 		return true
@@ -297,7 +298,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	// Flush the first point promptly, then in batches of 256 to keep
 	// syscalls off the hot path.
-	s.stream(w, r, key, 256, s.met.exploreStreams, s.met.exploreCancelled, func(ctx context.Context, emit func(any) bool) (any, error) {
+	every256 := func(sent int, _ any) bool { return sent%256 == 0 }
+	s.stream(w, r, key, every256, s.met.exploreStreams, s.met.exploreCancelled, func(ctx context.Context, emit func(any) bool) (any, error) {
 		// Fold each sent point into the front as it goes, tagged with its
 		// arrival index: the stream holds O(front) points, not every point
 		// it sent, and ties keep Pareto's input order.

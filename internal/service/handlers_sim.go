@@ -44,9 +44,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	// Snapshots are sparse (bounded by MaxSimSnapshots), so every event
-	// line flushes: clients see liveness for the stream's whole life.
-	s.stream(w, r, key, 1, s.met.simStreams, s.met.simCancelled, func(ctx context.Context, emit func(any) bool) (any, error) {
+	// One run's snapshots are sparse (bounded by MaxSimSnapshots), so each
+	// of its lines flushes. A co-exploration streams ~20 snapshots for each
+	// of dozens of replays; a replay is its unit of liveness, so only its
+	// score lines flush (the first and the terminal line always do).
+	flushes := func(int, any) bool { return true }
+	if req.CoExplore {
+		flushes = func(_ int, ev any) bool { return ev.(api.SimEvent).Score != nil }
+	}
+	s.stream(w, r, key, flushes, s.met.simStreams, s.met.simCancelled, func(ctx context.Context, emit func(any) bool) (any, error) {
 		done, err := s.runSimulate(ctx, dev, &req, specs, names, mix, emit)
 		if err != nil {
 			// Report an engine error to a still-connected client as the

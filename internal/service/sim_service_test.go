@@ -559,3 +559,68 @@ func TestCoExploreCacheOffSameReplies(t *testing.T) {
 		t.Errorf("cache-off server explored %d fronts for %d requests, want one each", n, len(reqs))
 	}
 }
+
+// flushRecorder is a ResponseRecorder that notes, at each Flush, how many
+// lines the body holds.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	at []int
+}
+
+func (f *flushRecorder) Flush() {
+	f.at = append(f.at, bytes.Count(f.Body.Bytes(), []byte{'\n'}))
+	f.ResponseRecorder.Flush()
+}
+
+// TestStreamFlushPoints pins where each NDJSON stream flushes, by the
+// number of lines sent at each Flush. A co-exploration flushes its first
+// line, each score line and the terminal line, since a replay is its unit
+// of liveness; a single-platform simulation flushes every line; an explore
+// stream flushes line 1, every 256th line and the terminal line.
+func TestStreamFlushPoints(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	coex, err := json.Marshal(coexploreRequest(frontPRMs(), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, path, body string
+		// The stream must carry at least minLines lines to tell its flush
+		// points from a flush per line or per 256 lines.
+		minLines int
+		// flushed reports whether line i (from 1) of n must flush.
+		flushed func(i, n int, line []byte) bool
+	}{
+		{"co-explore", "/v1/simulate", string(coex), 30, func(i, n int, line []byte) bool {
+			return i == 1 || i == n || bytes.HasPrefix(line, []byte(`{"score":`))
+		}},
+		{"simulate", "/v1/simulate", `{"device":"XC6VLX75T","synthetic_n":3,"policy":"priority",
+			"mix":{"jobs":400,"seed":42,"mean_exec_us":200,"mean_gap_us":50},"snapshot_every":20}`,
+			10, func(int, int, []byte) bool { return true }},
+		{"explore", "/v1/explore", `{"device":"XC6VLX75T","synthetic_n":7}`, 513, func(i, n int, _ []byte) bool {
+			return i == 1 || i == n || i%256 == 0
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+			lines := bytes.SplitAfter(rec.Body.Bytes(), []byte{'\n'})
+			lines = lines[:len(lines)-1] // the empty tail after the last newline
+			var want []int
+			for i, line := range lines {
+				if c.flushed(i+1, len(lines), line) {
+					want = append(want, i+1)
+				}
+			}
+			if !reflect.DeepEqual(rec.at, want) {
+				t.Errorf("%d lines flushed at %v, want %v", len(lines), rec.at, want)
+			}
+			if len(lines) < c.minLines {
+				t.Errorf("%d lines, want at least %d", len(lines), c.minLines)
+			}
+		})
+	}
+}

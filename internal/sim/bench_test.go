@@ -110,6 +110,47 @@ func BenchmarkCoExplore(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreFront is the per-request replay work of a costd
+// co-exploration once the front comes from its cache: every organization of
+// the exact front of SyntheticPRMs(6) on XC6VLX75T replayed under all three
+// policies against a saturated 300-job mix (300 µs mean gap and execution,
+// three priority levels), on one worker, with costd's default snapshot
+// cadence and a visitor taking every snapshot. The front is explored once,
+// outside the timed loop; BenchmarkCoExplore times that explore too.
+func BenchmarkScoreFront(b *testing.B) {
+	dev, err := device.Lookup("XC6VLX75T")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prms := dse.SyntheticPRMs(6)
+	specs := make([]Spec, len(prms))
+	for i, p := range prms {
+		specs[i] = Spec{Name: p.Name, Req: p.Req}
+	}
+	e := &dse.Explorer{Device: dev, Estimator: estimatorOrDefault(nil)}
+	front, _, err := e.ExploreParetoBB(context.Background(), prms, dse.BBOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mix := Mix{Jobs: 300, Seed: 1, MeanGap: 300 * time.Microsecond,
+		MeanExec: 300 * time.Microsecond, PriorityLevels: 3}
+	cfg := CoExploreConfig{Mix: mix, SnapshotEvery: mix.Jobs / 20, Workers: 1}
+	snaps := 0
+	snap := func(int, string, Snapshot) bool { snaps++; return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scores, err := ScoreFront(context.Background(), dev, specs, front, cfg, snap, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(scores) == 0 {
+			b.Fatal("no scores")
+		}
+	}
+	b.ReportMetric(float64(snaps)/float64(b.N), "snapshots/op")
+}
+
 // timedPolicy wraps a policy and accounts its Decide calls and their time.
 type timedPolicy struct {
 	Policy
@@ -129,11 +170,11 @@ func (p *timedPolicy) Decide(v *View) (Action, bool) {
 // priority levels arrive at once on the two-slot test platform, so the
 // queue starts q deep and drains. It reports ns per event (the whole run,
 // ready-queue inserts included) and ns per Decide (time inside the policy)
-// for each policy. priority and reconfig stop at the first priority level
-// that cannot start, so their Decide stays flat in q; fcfs compares the
-// level heads, O(levels · log q). What still grows with q is the insert:
-// the burst of q arrivals at t=0 each move the part of the queue after
-// their level's tail.
+// for each policy. priority and reconfig test the head of each slot set
+// (one set on this platform) and stop below the weakest running task's
+// priority, so their Decide stays flat in q; fcfs compares the level heads,
+// O(levels · log q). What still grows with q is the insert: the burst of q
+// arrivals at t=0 each move the part of the queue after their level's tail.
 func BenchmarkReadyDepth(b *testing.B) {
 	for _, q := range []int{10, 100, 1000, 10000} {
 		mix := Mix{Jobs: q, Seed: 11, Arrival: ArrivalSimultaneous,

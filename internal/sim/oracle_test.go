@@ -140,37 +140,15 @@ func fcfsScan(v *View) (Action, bool) {
 	return Action{Ready: head, Slot: best}, true
 }
 
-// TestFCFSLevelHeadsMatchScan: on randomized ready queues — restore entries,
-// arrivals and job IDs repeated within and across priority levels, a head
-// offset left by earlier takes — and random slot states on slots of mixed
-// sizes, FCFSBestFit picks exactly what the full scan picks.
+// TestFCFSLevelHeadsMatchScan: on randomized ready queues and slot states
+// (see randomState), FCFSBestFit picks exactly what the full scan picks.
 func TestFCFSLevelHeadsMatchScan(t *testing.T) {
-	const prms = 3
 	rng := rand.New(rand.NewPCG(7, 8))
-	plat := sharedTestPlatform(4, prms)
-	for s := range plat.PRRs {
-		plat.PRRs[s].Tiles = 100 * (1 + s%2)
-	}
-	plat.PRMs[2].Compat = []int{1, 3}
 	en := new(engine)
-	en.reset(Config{Platform: plat, Policy: FCFSBestFit{}, Estimator: nsPerByte(1)}, nil)
+	en.reset(Config{Platform: oraclePlatforms()[0].plat, Policy: FCFSBestFit{}, Estimator: nsPerByte(1)}, nil)
 	picks := 0
 	for trial := 0; trial < 5000; trial++ {
-		for s := range en.slots {
-			sl := &en.slots[s]
-			sl.state = SlotState(rng.IntN(3))
-			sl.loaded = rng.IntN(prms+1) - 1
-			sl.cur.Priority = rng.IntN(4)
-		}
-		en.ready, en.head = en.ready[:0], 0
-		levels := 1 + rng.IntN(4)
-		for range rng.IntN(40) {
-			en.enqueue(ReadyView{Job: rng.IntN(20), PRM: rng.IntN(prms), Priority: rng.IntN(levels),
-				Arrival: time.Duration(rng.IntN(8)), Restore: rng.IntN(4) == 0})
-		}
-		for range rng.IntN(len(en.ready) + 1) {
-			en.take(rng.IntN(len(en.ready) - en.head))
-		}
+		randomState(t, rng, en)
 		v := en.view(0)
 		want, wantOK := fcfsScan(v)
 		got, ok := FCFSBestFit{}.Decide(v)
@@ -184,6 +162,318 @@ func TestFCFSLevelHeadsMatchScan(t *testing.T) {
 	}
 	if picks == 0 {
 		t.Fatal("no trial started a job")
+	}
+}
+
+// oraclePlatforms are the slot layouts the policy oracles run on, priced at
+// 1 ns/byte with transfer volumes that differ per slot, so eviction costs
+// differ too:
+//   - shared: four slots of two sizes that every class fits, except one
+//     class whose Compat list is a subset of the others';
+//   - grouped: one slot per group, as BuildGroups makes them, two classes
+//     sharing each of the first two;
+//   - overlapping: lists that overlap without being equal, and two lists
+//     holding the same slots in another order (distinct slot sets).
+func oraclePlatforms() []struct {
+	name string
+	plat Platform
+} {
+	slots := func(n int) []PRR {
+		var prrs []PRR
+		for s := 0; s < n; s++ {
+			prrs = append(prrs, PRR{Name: fmt.Sprintf("slot%d", s), Tiles: 100 * (1 + s%2),
+				LoadBytes: 100_000 + 20_000*s, SaveBytes: 50_000 + 10_000*s, RestoreBytes: 110_000 + 20_000*s})
+		}
+		return prrs
+	}
+	classes := func(compat ...[]int) []PRM {
+		var prms []PRM
+		for m, c := range compat {
+			prms = append(prms, PRM{Name: fmt.Sprintf("M%d", m), Compat: c})
+		}
+		return prms
+	}
+	all := []int{0, 1, 2, 3}
+	return []struct {
+		name string
+		plat Platform
+	}{
+		{"shared", Platform{PRRs: slots(4), PRMs: classes(all, all, []int{1, 3})}},
+		{"grouped", Platform{PRRs: slots(3), PRMs: classes([]int{0}, []int{0}, []int{1}, []int{1}, []int{2})}},
+		{"overlapping", Platform{PRRs: slots(3), PRMs: classes([]int{0, 1}, []int{1, 2}, []int{0, 1, 2}, []int{2}, []int{1, 0})}},
+	}
+}
+
+// randomState resets en on its platform and fills its slot table and ready
+// queue at random: slot states, resident classes and running priorities;
+// up to 40 jobs over 1-4 priority levels, with restore entries, arrivals
+// and job IDs repeated within and across levels, and Remaining at, just
+// below or just above some slot's eviction cost; then random takes, leaving
+// a head offset. After the reset and after every enqueue and take it checks
+// the slot sets against a recount.
+func randomState(t *testing.T, rng *rand.Rand, en *engine) {
+	t.Helper()
+	en.reset(en.cfg, nil)
+	checkSetHeads(t, en)
+	plat := en.cfg.Platform
+	var remaining []time.Duration
+	for s := range plat.PRRs {
+		for _, start := range []time.Duration{en.loadDur[s], en.restoreDur[s]} {
+			cost := DefaultCaptureOverhead + en.saveDur[s] + start
+			remaining = append(remaining, cost-1, cost, cost+1)
+		}
+	}
+	remaining = append(remaining, time.Millisecond)
+	prms := len(plat.PRMs)
+	for s := range en.viewSlots {
+		sv := SlotView{State: SlotState(rng.IntN(3)), Loaded: rng.IntN(prms+1) - 1}
+		if sv.State == SlotRunning {
+			sv.Priority = rng.IntN(4)
+		}
+		en.viewSlots[s] = sv
+	}
+	levels := 1 + rng.IntN(4)
+	for range rng.IntN(40) {
+		en.enqueue(ReadyView{Job: rng.IntN(20), PRM: rng.IntN(prms), Priority: rng.IntN(levels),
+			Arrival: time.Duration(rng.IntN(8)), Remaining: remaining[rng.IntN(len(remaining))],
+			Restore: rng.IntN(4) == 0})
+		checkSetHeads(t, en)
+	}
+	for range rng.IntN(len(en.ready) + 1) {
+		en.take(rng.IntN(len(en.ready) - en.head))
+		checkSetHeads(t, en)
+	}
+}
+
+// checkSetHeads recounts en's slot sets: two classes share a
+// set exactly when their Compat lists are equal, and each set's head and
+// length match the queue.
+func checkSetHeads(t *testing.T, en *engine) {
+	t.Helper()
+	prms := en.cfg.Platform.PRMs
+	for p := range prms {
+		for q := range prms {
+			if same := en.setOf[p] == en.setOf[q]; same != slices.Equal(prms[p].Compat, prms[q].Compat) {
+				t.Fatalf("classes %d %v and %d %v: same slot set is %v", p, prms[p].Compat, q, prms[q].Compat, same)
+			}
+		}
+	}
+	q := en.ready[en.head:]
+	for s, h := range en.setHead {
+		head, n := -1, 0
+		for i := range q {
+			if en.setOf[q[i].PRM] == s {
+				if head < 0 {
+					head = i
+				}
+				n++
+			}
+		}
+		if h != head || en.setLen[s] != n {
+			t.Fatalf("slot set %d: head %d of %d jobs, the queue has head %d of %d\nready %+v",
+				s, h, en.setLen[s], head, n, q)
+		}
+	}
+}
+
+// priorityScan is PreemptPriority.Decide as it was before it tested slot-set
+// heads: it walks Ready in priority order and starts the first job that can.
+func priorityScan(v *View) (Action, bool) {
+	floor := startFloor(v)
+	for ri, r := range v.Ready {
+		if r.Priority <= floor {
+			break // Ready is in priority order: no later job starts either
+		}
+		// Idle slot first: warm, then smallest, then lowest index.
+		best, bestTiles, bestWarm := -1, 0, false
+		for _, s := range v.Compat(r.PRM) {
+			if v.Slots[s].State != SlotIdle {
+				continue
+			}
+			warm := v.Slots[s].Loaded == r.PRM && !r.Restore
+			tiles := v.Tiles(s)
+			if best < 0 || (warm && !bestWarm) || (warm == bestWarm && tiles < bestTiles) {
+				best, bestTiles, bestWarm = s, tiles, warm
+			}
+		}
+		if best >= 0 {
+			return Action{Ready: ri, Slot: best}, true
+		}
+		// Otherwise evict the weakest strictly lower-priority victim.
+		victim, victimPrio := -1, 0
+		for _, s := range v.Compat(r.PRM) {
+			sv := v.Slots[s]
+			if sv.State != SlotRunning || sv.Priority >= r.Priority {
+				continue
+			}
+			if victim < 0 || sv.Priority < victimPrio {
+				victim, victimPrio = s, sv.Priority
+			}
+		}
+		if victim >= 0 {
+			return Action{Ready: ri, Slot: victim, Preempt: true}, true
+		}
+	}
+	return Action{}, false
+}
+
+// reconfigScan is ReconfigAware.Decide as it was before it tested slot-set
+// heads: it walks Ready in priority order and starts the first job that
+// has a slot worth taking.
+func reconfigScan(v *View) (Action, bool) {
+	floor := startFloor(v)
+	for ri, r := range v.Ready {
+		if r.Priority <= floor {
+			break // Ready is in priority order: no later job starts either
+		}
+		startCost := func(s int) time.Duration {
+			if r.Restore {
+				return v.RestoreTime(s)
+			}
+			return v.LoadTime(s)
+		}
+		best, bestCost, bestPre := -1, time.Duration(0), false
+		for _, s := range v.Compat(r.PRM) {
+			sv := v.Slots[s]
+			var cost time.Duration
+			pre := false
+			switch {
+			case sv.State == SlotIdle && sv.Loaded == r.PRM && !r.Restore:
+				cost = 0
+			case sv.State == SlotIdle:
+				cost = startCost(s)
+			case sv.State == SlotRunning && sv.Priority < r.Priority:
+				cost = DefaultCaptureOverhead + v.SaveTime(s) + startCost(s)
+				pre = true
+				if r.Remaining <= cost {
+					continue // the eviction costs more than the job is worth
+				}
+			default:
+				continue
+			}
+			if best < 0 || cost < bestCost || (cost == bestCost && bestPre && !pre) {
+				best, bestCost, bestPre = s, cost, pre
+			}
+		}
+		if best >= 0 {
+			return Action{Ready: ri, Slot: best, Preempt: bestPre}, true
+		}
+	}
+	return Action{}, false
+}
+
+// scanOracles pairs each policy that tests slot-set heads with its scan.
+var scanOracles = []struct {
+	pol  Policy
+	scan func(*View) (Action, bool)
+}{{PreemptPriority{}, priorityScan}, {ReconfigAware{}, reconfigScan}}
+
+// TestPolicySetHeadsMatchScan: on every oracle platform and thousands of
+// randomized ready queues and slot states (see randomState), priority and
+// reconfig return exactly the Action their full scans return. The trials
+// must reach preemptions, picks that are not the earliest set head, and,
+// under reconfig, picks that are not a set head at all: a job that starts
+// because its set's head, ranking higher, finds every eviction too dear.
+func TestPolicySetHeadsMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 10))
+	for _, p := range oraclePlatforms() {
+		for _, o := range scanOracles {
+			en := new(engine)
+			en.reset(Config{Platform: p.plat, Policy: o.pol, Estimator: nsPerByte(1)}, nil)
+			var picks, preempts, laterHead, notHead int
+			for trial := 0; trial < 1500; trial++ {
+				randomState(t, rng, en)
+				v := en.view(0)
+				want, wantOK := o.scan(v)
+				got, ok := o.pol.Decide(v)
+				if got != want || ok != wantOK {
+					t.Fatalf("%s, %s, trial %d: Decide = %+v, %v; the scan picks %+v, %v\nready %+v\nslots %+v\nheads %v",
+						p.name, o.pol.Name(), trial, got, ok, want, wantOK, v.Ready, v.Slots, v.SetHeads())
+				}
+				if !ok {
+					continue
+				}
+				picks++
+				if got.Preempt {
+					preempts++
+				}
+				first := len(v.Ready)
+				for _, h := range v.SetHeads() {
+					if h >= 0 {
+						first = min(first, h)
+					}
+				}
+				switch {
+				case !slices.Contains(v.SetHeads(), got.Ready):
+					notHead++
+				case got.Ready > first:
+					laterHead++
+				}
+			}
+			t.Logf("%s, %s: %d picks, %d preempt, %d a later set head, %d not a set head",
+				p.name, o.pol.Name(), picks, preempts, laterHead, notHead)
+			if preempts == 0 || laterHead == 0 {
+				t.Errorf("%s, %s: %d preemptions and %d picks of a later set head; the trials miss a case",
+					p.name, o.pol.Name(), preempts, laterHead)
+			}
+			if _, reconfig := o.pol.(ReconfigAware); reconfig && notHead == 0 {
+				t.Errorf("%s, reconfig: no pick walked past its set's head", p.name)
+			}
+		}
+	}
+}
+
+// scanCheck runs a policy and fails the test on any Decide whose Action
+// differs from its scan's on the same View.
+type scanCheck struct {
+	Policy
+	scan  func(*View) (Action, bool)
+	t     *testing.T
+	calls int
+}
+
+func (p *scanCheck) Decide(v *View) (Action, bool) {
+	p.calls++
+	got, ok := p.Policy.Decide(v)
+	if want, wantOK := p.scan(v); got != want || ok != wantOK {
+		p.t.Fatalf("at %v: Decide = %+v, %v; the scan picks %+v, %v\nready %+v\nslots %+v",
+			v.Now, got, ok, want, wantOK, v.Ready, v.Slots)
+	}
+	return got, ok
+}
+
+// TestReplaysMatchScanPolicies replays randomized saturated mixes (bursty
+// and simultaneous arrivals, 1-4 priority levels) on every oracle platform,
+// the platforms in parallel through the pooled engines, and checks every
+// Decide of priority and reconfig against its scan.
+func TestReplaysMatchScanPolicies(t *testing.T) {
+	for pi, p := range oraclePlatforms() {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewPCG(11, uint64(pi)))
+			calls := 0
+			for rep := 0; rep < 24; rep++ {
+				mix := Mix{Jobs: 100 + rng.IntN(200), Seed: rng.Uint64() | 1,
+					Arrival:        []Arrival{ArrivalBursty, ArrivalSimultaneous}[rep%2],
+					MeanGap:        time.Duration(20+rng.IntN(100)) * time.Microsecond,
+					MeanExec:       time.Duration(100+rng.IntN(300)) * time.Microsecond,
+					PriorityLevels: 1 + rep%4,
+				}
+				jobs, err := mix.Generate(len(p.plat.PRMs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range scanOracles {
+					check := &scanCheck{Policy: o.pol, scan: o.scan, t: t}
+					if _, err := Run(context.Background(),
+						Config{Platform: p.plat, Policy: check, Estimator: nsPerByte(1)}, jobs, nil); err != nil {
+						t.Fatalf("%s, %+v: %v", o.pol.Name(), mix, err)
+					}
+					calls += check.calls
+				}
+			}
+			t.Logf("%d decisions", calls)
+		})
 	}
 }
 

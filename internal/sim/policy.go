@@ -32,8 +32,9 @@ type SlotView struct {
 
 // View is the read-only scheduling state handed to a Policy. Ready is in
 // priority order: priority descending, then arrival, then job ID, with a
-// preempted job re-queued at its place in that order. It aliases the
-// engine's ready queue, so policies must neither modify nor retain it.
+// preempted job re-queued at its place in that order. Ready and Slots alias
+// the engine's ready queue and slot table, so policies must neither modify
+// nor retain them.
 type View struct {
 	Now   time.Duration
 	Ready []ReadyView
@@ -43,6 +44,16 @@ type View struct {
 
 // Compat returns the slots that can host the PRM class.
 func (v *View) Compat(prm int) []int { return v.en.cfg.Platform.PRMs[prm].Compat }
+
+// SlotSet numbers the PRM class's Compat list: classes with equal lists
+// share a slot set. Whether a job can take an idle slot, or which running
+// tasks it could evict, depends on its slot set, not on its class.
+func (v *View) SlotSet(prm int) int { return v.en.setOf[prm] }
+
+// SetHeads returns, per slot set, the Ready index of the set's first job in
+// priority order, or -1 when none of its jobs is queued. It aliases engine
+// state: read only, valid during the Decide call.
+func (v *View) SetHeads() []int { return v.en.setHead }
 
 // Tiles returns the slot's PRR size (its area cost).
 func (v *View) Tiles(slot int) int { return v.en.cfg.Platform.PRRs[slot].Tiles }
@@ -74,18 +85,10 @@ type Policy interface {
 }
 
 func (en *engine) view(now time.Duration) *View {
-	en.viewSlots = en.viewSlots[:0]
-	for i := range en.slots {
-		sl := &en.slots[i]
-		sv := SlotView{State: sl.state, Loaded: sl.loaded}
-		if sl.state == SlotRunning {
-			sv.Priority = sl.cur.Priority
-		}
-		en.viewSlots = append(en.viewSlots, sv)
-	}
-	// The engine-owned View is rebuilt in place each dispatch iteration so
-	// the hot loop never allocates; policies must not retain it.
-	en.viewBuf = View{Now: now, Ready: en.ready[en.head:], Slots: en.viewSlots, en: en}
+	// The engine-owned View is set up in reset over the live slot table;
+	// each dispatch iteration only points it at the clock and the queue, so
+	// the hot loop never allocates. Policies must not retain it.
+	en.viewBuf.Now, en.viewBuf.Ready = now, en.ready[en.head:]
 	return &en.viewBuf
 }
 
@@ -162,42 +165,59 @@ type PreemptPriority struct{}
 // Name implements Policy.
 func (PreemptPriority) Name() string { return "priority" }
 
-// Decide implements Policy.
+// Decide implements Policy. Whether a job can start depends only on its
+// slot set and priority: it needs an idle compatible slot or a strictly
+// lower-priority compatible victim. A set's head outranks or ties every
+// other job of its set, so the first job in Ready that can start is the
+// earliest set head that can; Decide tests the heads, not the queue.
 func (PreemptPriority) Decide(v *View) (Action, bool) {
 	floor := startFloor(v)
-	for ri, r := range v.Ready {
-		if r.Priority <= floor {
-			break // Ready is in priority order: no later job starts either
+	best := Action{Ready: -1}
+	for _, ri := range v.SetHeads() {
+		if ri < 0 || best.Ready >= 0 && ri > best.Ready || v.Ready[ri].Priority <= floor {
+			continue
 		}
-		// Idle slot first: warm, then smallest, then lowest index.
-		best, bestTiles, bestWarm := -1, 0, false
-		for _, s := range v.Compat(r.PRM) {
-			if v.Slots[s].State != SlotIdle {
-				continue
-			}
-			warm := v.Slots[s].Loaded == r.PRM && !r.Restore
-			tiles := v.Tiles(s)
-			if best < 0 || (warm && !bestWarm) || (warm == bestWarm && tiles < bestTiles) {
-				best, bestTiles, bestWarm = s, tiles, warm
-			}
+		if act, ok := priorityStart(v, ri); ok {
+			best = act
 		}
-		if best >= 0 {
-			return Action{Ready: ri, Slot: best}, true
+	}
+	if best.Ready < 0 {
+		return Action{}, false
+	}
+	return best, true
+}
+
+// priorityStart is PreemptPriority's move for Ready[ri]: an idle compatible
+// slot (warm, then smallest, then lowest index), else the weakest strictly
+// lower-priority compatible victim.
+func priorityStart(v *View, ri int) (Action, bool) {
+	r := &v.Ready[ri]
+	best, bestTiles, bestWarm := -1, 0, false
+	for _, s := range v.Compat(r.PRM) {
+		if v.Slots[s].State != SlotIdle {
+			continue
 		}
-		// Otherwise evict the weakest strictly lower-priority victim.
-		victim, victimPrio := -1, 0
-		for _, s := range v.Compat(r.PRM) {
-			sv := v.Slots[s]
-			if sv.State != SlotRunning || sv.Priority >= r.Priority {
-				continue
-			}
-			if victim < 0 || sv.Priority < victimPrio {
-				victim, victimPrio = s, sv.Priority
-			}
+		warm := v.Slots[s].Loaded == r.PRM && !r.Restore
+		tiles := v.Tiles(s)
+		if best < 0 || (warm && !bestWarm) || (warm == bestWarm && tiles < bestTiles) {
+			best, bestTiles, bestWarm = s, tiles, warm
 		}
-		if victim >= 0 {
-			return Action{Ready: ri, Slot: victim, Preempt: true}, true
+	}
+	if best >= 0 {
+		return Action{Ready: ri, Slot: best}, true
+	}
+	victim, victimPrio := -1, 0
+	for _, s := range v.Compat(r.PRM) {
+		sv := v.Slots[s]
+		if sv.State != SlotRunning || sv.Priority >= r.Priority {
+			continue
 		}
+		if victim < 0 || sv.Priority < victimPrio {
+			victim, victimPrio = s, sv.Priority
+		}
+	}
+	if victim >= 0 {
+		return Action{Ready: ri, Slot: victim, Preempt: true}, true
 	}
 	return Action{}, false
 }
@@ -213,47 +233,84 @@ type ReconfigAware struct{}
 // Name implements Policy.
 func (ReconfigAware) Name() string { return "reconfig" }
 
-// Decide implements Policy.
+// Decide implements Policy. As under PreemptPriority, an idle compatible
+// slot takes any job of a slot set, so the set's head starts if any of its
+// jobs does. The eviction test also reads Remaining and Restore, so when a
+// head can only evict, and every eviction costs more than it is worth,
+// Decide walks on through the set's own jobs while a lower-priority
+// compatible victim exists.
 func (ReconfigAware) Decide(v *View) (Action, bool) {
 	floor := startFloor(v)
-	for ri, r := range v.Ready {
-		if r.Priority <= floor {
-			break // Ready is in priority order: no later job starts either
-		}
-		startCost := func(s int) time.Duration {
-			if r.Restore {
-				return v.RestoreTime(s)
+	best := Action{Ready: -1}
+	for set, ri := range v.SetHeads() {
+		for ri >= 0 && (best.Ready < 0 || ri < best.Ready) && v.Ready[ri].Priority > floor {
+			act, ok, victims := reconfigStart(v, ri)
+			if ok {
+				best = act
+				break
 			}
-			return v.LoadTime(s)
-		}
-		best, bestCost, bestPre := -1, time.Duration(0), false
-		for _, s := range v.Compat(r.PRM) {
-			sv := v.Slots[s]
-			var cost time.Duration
-			pre := false
-			switch {
-			case sv.State == SlotIdle && sv.Loaded == r.PRM && !r.Restore:
-				cost = 0
-			case sv.State == SlotIdle:
-				cost = startCost(s)
-			case sv.State == SlotRunning && sv.Priority < r.Priority:
-				cost = DefaultCaptureOverhead + v.SaveTime(s) + startCost(s)
-				pre = true
-				if r.Remaining <= cost {
-					continue // the eviction costs more than the job is worth
-				}
-			default:
-				continue
+			if !victims {
+				break // the set's later jobs rank no higher: none can evict
 			}
-			if best < 0 || cost < bestCost || (cost == bestCost && bestPre && !pre) {
-				best, bestCost, bestPre = s, cost, pre
-			}
-		}
-		if best >= 0 {
-			return Action{Ready: ri, Slot: best, Preempt: bestPre}, true
+			ri = nextInSet(v, set, ri)
 		}
 	}
-	return Action{}, false
+	if best.Ready < 0 {
+		return Action{}, false
+	}
+	return best, true
+}
+
+// nextInSet is the Ready index of the first job after Ready[ri] in the slot
+// set, or -1 when there is none.
+func nextInSet(v *View, set, ri int) int {
+	for ri++; ri < len(v.Ready); ri++ {
+		if v.SlotSet(v.Ready[ri].PRM) == set {
+			return ri
+		}
+	}
+	return -1
+}
+
+// reconfigStart is ReconfigAware's move for Ready[ri], the compatible slot
+// whose start costs least. victims reports whether a compatible slot runs a
+// lower-priority task, whether or not evicting it pays.
+func reconfigStart(v *View, ri int) (act Action, ok, victims bool) {
+	r := &v.Ready[ri]
+	startCost := func(s int) time.Duration {
+		if r.Restore {
+			return v.RestoreTime(s)
+		}
+		return v.LoadTime(s)
+	}
+	best, bestCost, bestPre := -1, time.Duration(0), false
+	for _, s := range v.Compat(r.PRM) {
+		sv := v.Slots[s]
+		var cost time.Duration
+		pre := false
+		switch {
+		case sv.State == SlotIdle && sv.Loaded == r.PRM && !r.Restore:
+			cost = 0
+		case sv.State == SlotIdle:
+			cost = startCost(s)
+		case sv.State == SlotRunning && sv.Priority < r.Priority:
+			victims = true
+			cost = DefaultCaptureOverhead + v.SaveTime(s) + startCost(s)
+			pre = true
+			if r.Remaining <= cost {
+				continue // the eviction costs more than the job is worth
+			}
+		default:
+			continue
+		}
+		if best < 0 || cost < bestCost || (cost == bestCost && bestPre && !pre) {
+			best, bestCost, bestPre = s, cost, pre
+		}
+	}
+	if best < 0 {
+		return Action{}, false, victims
+	}
+	return Action{Ready: ri, Slot: best, Preempt: bestPre}, true, victims
 }
 
 // PolicyNames lists the built-in policies in presentation order.

@@ -200,9 +200,9 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// slotRT is a slot's engine-side state; its policy-visible state, resident
+// PRM and running priority live in engine.viewSlots.
 type slotRT struct {
-	state     SlotState
-	loaded    int // PRM resident in the fabric; -1 when scrubbed or mid-transfer
 	cur       ReadyView
 	started   time.Duration // current exec burst start (valid in SlotRunning)
 	endSeq    int           // seq of the live completion event
@@ -231,6 +231,17 @@ type engine struct {
 	ready []ReadyView
 	head  int
 	slots []slotRT
+	// viewSlots is the slot table policies read (View.Slots), rewritten
+	// on every slot-state change.
+	viewSlots []SlotView
+
+	// Slot sets (see View.SetHeads): setOf numbers each PRM class's Compat
+	// list, classes with equal lists sharing a number. setHead[s] is the
+	// View.Ready index of set s's first queued job, -1 when it has none;
+	// setLen[s] counts its queued jobs.
+	setOf   []int
+	setHead []int
+	setLen  []int
 
 	// per-slot transfer durations, precomputed from the estimator
 	loadDur    []time.Duration
@@ -260,8 +271,7 @@ type engine struct {
 	events      int
 	stopped     bool
 
-	viewSlots []SlotView
-	viewBuf   View
+	viewBuf View
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
@@ -274,11 +284,13 @@ func (en *engine) reset(cfg Config, jobs []Job) {
 
 	n := len(cfg.Platform.PRRs)
 	en.slots = growClear(en.slots, n)
+	en.viewSlots = growClear(en.viewSlots, n)
+	en.viewBuf = View{Slots: en.viewSlots, en: en}
 	en.loadDur = growClear(en.loadDur, n)
 	en.saveDur = growClear(en.saveDur, n)
 	en.restoreDur = growClear(en.restoreDur, n)
 	for i, prr := range cfg.Platform.PRRs {
-		en.slots[i].loaded = -1
+		en.viewSlots[i].Loaded = -1
 		en.loadDur[i] = cfg.Estimator.Estimate(prr.LoadBytes)
 		en.saveDur[i] = cfg.Estimator.Estimate(prr.SaveBytes)
 		en.restoreDur[i] = cfg.Estimator.Estimate(prr.RestoreBytes)
@@ -292,6 +304,7 @@ func (en *engine) reset(cfg Config, jobs []Job) {
 	en.orderArrivals()
 	en.ready = en.ready[:0]
 	en.head = 0
+	en.numberSets()
 	en.icapFreeAt = 0
 	en.icapBusy = 0
 	en.transfers = 0
@@ -309,6 +322,32 @@ func (en *engine) reset(cfg Config, jobs []Job) {
 	en.snapSeq = 0
 	en.events = 0
 	en.stopped = false
+}
+
+// numberSets numbers the platform's distinct Compat lists in PRM order and
+// empties every set.
+func (en *engine) numberSets() {
+	prms := en.cfg.Platform.PRMs
+	en.setOf = en.setOf[:0]
+	sets := 0
+	for p := range prms {
+		set := sets
+		for q := range p {
+			if slices.Equal(prms[q].Compat, prms[p].Compat) {
+				set = en.setOf[q]
+				break
+			}
+		}
+		if set == sets {
+			sets++
+		}
+		en.setOf = append(en.setOf, set)
+	}
+	en.setLen = growClear(en.setLen, sets)
+	en.setHead = growClear(en.setHead, sets)
+	for s := range en.setHead {
+		en.setHead[s] = -1
+	}
 }
 
 // release drops the caller-owned references (platform, policy, jobs) before
@@ -466,12 +505,11 @@ func (en *engine) step(e event, visit func(Snapshot) bool) bool {
 		en.enqueue(ReadyView{Job: j.ID, PRM: j.PRM, Priority: j.Priority,
 			Arrival: j.Arrival, Remaining: j.Exec, job: e.job})
 	case evLoaded:
-		sl := &en.slots[e.slot]
-		sl.loaded = sl.cur.PRM
-		en.beginExec(e.at, e.slot, sl.cur)
+		cur := en.slots[e.slot].cur
+		en.viewSlots[e.slot].Loaded = cur.PRM
+		en.beginExec(e.at, e.slot, cur)
 	case evDone:
-		sl := &en.slots[e.slot]
-		if sl.state != SlotRunning || sl.endSeq != e.seq {
+		if en.viewSlots[e.slot].State != SlotRunning || en.slots[e.slot].endSeq != e.seq {
 			return true // cancelled by a preemption
 		}
 		en.complete(e.at, e.slot)
@@ -490,8 +528,8 @@ func (en *engine) emit(visit func(Snapshot) bool) bool {
 		return true
 	}
 	running := 0
-	for i := range en.slots {
-		if en.slots[i].state == SlotRunning {
+	for _, sv := range en.viewSlots {
+		if sv.State == SlotRunning {
 			running++
 		}
 	}
@@ -569,12 +607,24 @@ func (en *engine) enqueue(r ReadyView) {
 		return q.Job > r.Job
 	})
 	en.ready = slices.Insert(en.ready, en.head+i, r)
+	for s, h := range en.setHead {
+		if h >= i {
+			en.setHead[s] = h + 1
+		}
+	}
+	set := en.setOf[r.PRM]
+	if h := en.setHead[set]; h < 0 || h > i {
+		en.setHead[set] = i
+	}
+	en.setLen[set]++
 }
 
 // take removes View.Ready[i] from the queue, moving the shorter side of it
-// over the gap: taking the head only advances the head offset.
+// over the gap: taking the head only advances the head offset. When Ready[i]
+// heads its slot set, the set's next job in queue order becomes its head.
 func (en *engine) take(i int) {
 	q := en.ready[en.head:]
+	set := en.setOf[q[i].PRM]
 	if i < len(q)-1-i {
 		copy(q[1:i+1], q[:i])
 		en.head++
@@ -585,6 +635,28 @@ func (en *engine) take(i int) {
 	if en.head == len(en.ready) {
 		en.ready, en.head = en.ready[:0], 0
 	}
+	for s, h := range en.setHead {
+		if h > i {
+			en.setHead[s] = h - 1
+		}
+	}
+	if en.setLen[set]--; en.setHead[set] == i {
+		en.nextHead(set, i)
+	}
+}
+
+// nextHead makes the first job of set at or after View.Ready index i the
+// set's head, -1 when the set has no queued job.
+func (en *engine) nextHead(set, i int) {
+	if en.setLen[set] == 0 {
+		en.setHead[set] = -1
+		return
+	}
+	q := en.ready[en.head:]
+	for en.setOf[q[i].PRM] != set {
+		i++
+	}
+	en.setHead[set] = i
 }
 
 // dispatch runs the policy until it passes or proposes an invalid action.
@@ -620,14 +692,14 @@ func (en *engine) apply(now time.Duration, act Action) bool {
 	if !ok {
 		return false
 	}
-	sl := &en.slots[act.Slot]
+	sv := &en.viewSlots[act.Slot]
 	switch {
-	case sl.state == SlotIdle && !act.Preempt:
+	case sv.State == SlotIdle && !act.Preempt:
 		en.take(act.Ready)
 		en.startOn(now, act.Slot, rj)
 		return true
-	case sl.state == SlotRunning && act.Preempt:
-		if rj.Priority <= sl.cur.Priority {
+	case sv.State == SlotRunning && act.Preempt:
+		if rj.Priority <= sv.Priority {
 			return false
 		}
 		en.take(act.Ready)
@@ -643,8 +715,7 @@ func (en *engine) apply(now time.Duration, act Action) bool {
 // resident, otherwise after a load (or restore) transfer through the ICAP.
 func (en *engine) startOn(now time.Duration, si int, rj ReadyView) {
 	sl := &en.slots[si]
-	if sl.loaded == rj.PRM && !rj.Restore {
-		sl.cur = rj
+	if en.viewSlots[si].Loaded == rj.PRM && !rj.Restore {
 		en.beginExec(now, si, rj)
 		return
 	}
@@ -653,9 +724,8 @@ func (en *engine) startOn(now time.Duration, si int, rj ReadyView) {
 		dur = en.restoreDur[si]
 	}
 	_, done := en.xfer(now, dur, si)
-	sl.state = SlotLoading
+	en.viewSlots[si] = SlotView{State: SlotLoading, Loaded: -1}
 	sl.cur = rj
-	sl.loaded = -1
 	sl.reconfigs++
 	en.reconfigs++
 	en.push(event{at: done, kind: evLoaded, slot: si})
@@ -663,7 +733,8 @@ func (en *engine) startOn(now time.Duration, si int, rj ReadyView) {
 
 func (en *engine) beginExec(now time.Duration, si int, rj ReadyView) {
 	sl := &en.slots[si]
-	sl.state = SlotRunning
+	sv := &en.viewSlots[si]
+	sv.State, sv.Priority = SlotRunning, rj.Priority
 	sl.cur = rj
 	sl.started = now
 	sl.endSeq = en.push(event{at: now + rj.Remaining, kind: evDone, slot: si})
@@ -692,13 +763,12 @@ func (en *engine) preempt(now time.Duration, si int, rj ReadyView) {
 	en.enqueue(victim)
 	// The victim's completion event dies by seq mismatch; the slot loads
 	// the preemptor next.
-	sl.loaded = -1
 	dur := en.loadDur[si]
 	if rj.Restore {
 		dur = en.restoreDur[si]
 	}
 	_, done := en.xfer(now, dur, si)
-	sl.state = SlotLoading
+	en.viewSlots[si] = SlotView{State: SlotLoading, Loaded: -1}
 	sl.cur = rj
 	sl.reconfigs++
 	en.reconfigs++
@@ -721,7 +791,7 @@ func (en *engine) complete(at time.Duration, si int) {
 	if at > en.makespan {
 		en.makespan = at
 	}
-	sl.state = SlotIdle
+	en.viewSlots[si] = SlotView{State: SlotIdle, Loaded: en.viewSlots[si].Loaded}
 }
 
 // observe records the run on the process-wide metrics once per run, keeping
