@@ -850,13 +850,6 @@ func (e *Explorer) ExploreParetoBB(ctx context.Context, prms []PRM, opts BBOptio
 	return front, stats, nil
 }
 
-// ExplorePareto is the convenience entry point: branch-and-bound with
-// default parallelism and both bounds enabled.
-func (e *Explorer) ExplorePareto(ctx context.Context, prms []PRM) ([]DesignPoint, error) {
-	front, _, err := e.ExploreParetoBB(ctx, prms, BBOptions{DominancePrune: true})
-	return front, err
-}
-
 // bellNumber returns Bell(n), the number of set partitions of n elements,
 // via the Bell triangle. Exact in int64 range through n = maxPRMs.
 func bellNumber(n int) int {

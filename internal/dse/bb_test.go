@@ -257,17 +257,18 @@ func TestExploreBBCancel(t *testing.T) {
 	}
 }
 
-// TestExplorePareto covers the convenience wrapper against the flat front.
+// TestExplorePareto checks the paper's FIR/MIPS/SDRAM set (Table V) at
+// default parallelism with dominance pruning against the flat front.
 func TestExplorePareto(t *testing.T) {
 	e := explorer(t, "XC6VLX75T")
 	prms := paperPRMs(t, "XC6VLX75T")
 	want := Pareto(e.ExploreAll(prms))
-	got, err := e.ExplorePareto(context.Background(), prms)
+	got, _, err := e.ExploreParetoBB(context.Background(), prms, BBOptions{DominancePrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ExplorePareto = %+v, want %+v", got, want)
+		t.Errorf("ExploreParetoBB = %+v, want %+v", got, want)
 	}
 }
 

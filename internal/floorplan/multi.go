@@ -21,15 +21,6 @@ type Plan struct {
 	Placements []Placement
 }
 
-// Regions returns the placed regions, for overlap avoidance.
-func (p *Plan) Regions() []Region {
-	rs := make([]Region, len(p.Placements))
-	for i := range p.Placements {
-		rs[i] = p.Placements[i].Region
-	}
-	return rs
-}
-
 // PlaceAll places every requested PRR on the fabric without overlap, using
 // the paper's search for each region in turn (largest width first, so the
 // hardest-to-place regions claim fabric before fragmentation sets in). It

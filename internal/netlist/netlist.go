@@ -57,15 +57,6 @@ func (m *Module) NewNet() NetID {
 	return m.netCount
 }
 
-// NewNets allocates n fresh nets (a bus).
-func (m *Module) NewNets(n int) []NetID {
-	nets := make([]NetID, n)
-	for i := range nets {
-		nets[i] = m.NewNet()
-	}
-	return nets
-}
-
 // NumNets returns the number of allocated nets.
 func (m *Module) NumNets() int { return int(m.netCount) }
 

@@ -96,12 +96,6 @@ func TraceFrom(ctx context.Context) (TraceContext, bool) {
 	return tc, ok
 }
 
-// TraceIDFrom returns the context's trace ID, or "".
-func TraceIDFrom(ctx context.Context) string {
-	tc, _ := ctx.Value(traceKey{}).(TraceContext)
-	return tc.TraceID
-}
-
 // fallbackIDs feeds NewTraceID/NewSpanID should crypto/rand ever fail (it
 // does not on supported platforms, but an ID generator must not).
 var fallbackIDs atomic.Uint64

@@ -101,15 +101,3 @@ func (r *SimRun) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
-
-// ReadSimRun parses and validates a simrun report.
-func ReadSimRun(rd io.Reader) (*SimRun, error) {
-	var r SimRun
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("report: decoding simrun: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}

@@ -122,25 +122,6 @@ func (b *Builder) MuxBus2(sel netlist.NetID, a, c []netlist.NetID) []netlist.Net
 	return out
 }
 
-// MuxTree selects inputs[sel] bitwise over a power-of-two input list, using a
-// tree of 2:1 muxes per bit (the LUT count a mapped wide mux costs). sel is
-// little-endian.
-func (b *Builder) MuxTree(sel []netlist.NetID, inputs [][]netlist.NetID) []netlist.NetID {
-	if len(inputs) == 0 || len(inputs) != 1<<len(sel) {
-		panic(fmt.Sprintf("rtl: MuxTree needs %d inputs for %d select bits, got %d",
-			1<<len(sel), len(sel), len(inputs)))
-	}
-	layer := inputs
-	for level := 0; level < len(sel); level++ {
-		next := make([][]netlist.NetID, len(layer)/2)
-		for i := range next {
-			next[i] = b.MuxBus2(sel[level], layer[2*i], layer[2*i+1])
-		}
-		layer = next
-	}
-	return layer[0]
-}
-
 // Reg registers each bit of d through an FDRE with initial value 0.
 func (b *Builder) Reg(d []netlist.NetID) []netlist.NetID {
 	q := make([]netlist.NetID, len(d))
@@ -218,18 +199,6 @@ func (b *Builder) MuxWide(sel []netlist.NetID, inputs [][]netlist.NetID) []netli
 		level++
 	}
 	return layer[0]
-}
-
-// ShiftReg builds an n-deep, width-wide shift register and returns the taps
-// (taps[0] is the first stage).
-func (b *Builder) ShiftReg(d []netlist.NetID, depth int) [][]netlist.NetID {
-	taps := make([][]netlist.NetID, depth)
-	cur := d
-	for i := 0; i < depth; i++ {
-		cur = b.Reg(cur)
-		taps[i] = cur
-	}
-	return taps
 }
 
 // DSP emits one DSP48 multiply-accumulate block: out = a×b (+ cascade). The

@@ -13,12 +13,12 @@ import (
 // benchMix is a near-saturation 2000-job mix on the two-slot test platform:
 // busy enough that the ready queue and preemption paths are exercised,
 // bounded enough that one run is milliseconds.
-func benchMix(b *testing.B) []Job {
+func benchMix(tb testing.TB) []Job {
 	mix := Mix{Jobs: 2000, Seed: 7, MeanGap: 250 * time.Microsecond,
 		MeanExec: 200 * time.Microsecond, PriorityLevels: 3}
 	jobs, err := mix.Generate(len(testPlatform().PRMs))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return jobs
 }
@@ -28,8 +28,9 @@ func benchMix(b *testing.B) []Job {
 // assembly (which allocates the caller-owned PerSlot summary) excluded —
 // and is CI's zero-alloc gate: its committed baseline is 0 allocs/op, so
 // any allocation creeping back onto the event path fails the bench
-// comparison. The "full" variants run the public Run end to end, pooled
-// engine included.
+// comparison. Its events/sec counts handled events: one per arrival, per
+// load or restore, and per completion. The "full" variants run the public
+// Run end to end, pooled engine included.
 func BenchmarkSimRun(b *testing.B) {
 	jobs := benchMix(b)
 

@@ -2,8 +2,9 @@
 // hardware multitasking on partially reconfigurable FPGAs — the workload
 // the paper's cost models exist to serve.
 //
-// The engine advances a virtual clock through an event heap ordered by
-// (time, insertion sequence); nothing reads wall time, so the same seed and
+// The engine advances a virtual clock through events in (time, scheduling
+// sequence) order — the next arrival, or the one pending load or completion
+// each slot holds; nothing reads wall time, so the same seed and
 // configuration produce a bit-identical snapshot stream and summary on any
 // machine. The single ICAP is a FIFO resource: every load, context save and
 // context restore books occupancy in request order, with transfer times

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -14,23 +15,59 @@ import (
 	"repro/internal/obs"
 )
 
-// heapReplay is the event loop as it ran before arrivals streamed from a
-// cursor: every arrival is pushed into the eventHeap up front, its seq the
-// input index, and events pop from the heap alone. It returns the events in
-// the order they were handled.
+// refHeap is a binary min-heap of events in (at, seq) order, for heapReplay.
+type refHeap []event
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *refHeap) Pop() any {
+	e := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return e
+}
+
+// heapReplay is the event loop as it ran on an event heap: every arrival
+// sits in the heap from the start, its seq the input index; each slot event
+// is pushed once the step that scheduled it ends; and a popped slot event
+// that is no longer its slot's pending event — a completion a preemption
+// replaced — is dropped as a no-op. (A slot event replaced within the step
+// that scheduled it never reaches the heap: popping it would be a no-op
+// too.) It returns the events in the order they were handled.
 func heapReplay(cfg Config, jobs []Job) ([]event, Result) {
 	en := new(engine)
 	en.reset(cfg, jobs)
 	en.arrived = len(jobs) // the cursor yields nothing
-	en.seq = 0
+	h := make(refHeap, len(jobs))
 	for ji := range jobs {
-		en.push(event{at: jobs[ji].Arrival, kind: evArrival, job: ji})
+		h[ji] = event{at: jobs[ji].Arrival, seq: ji, kind: evArrival, job: ji}
 	}
+	heap.Init(&h)
+	pushed := en.seq // every slot event numbered below it is in the heap
 	var log []event
-	for len(en.h) > 0 {
-		e := en.h.pop()
+	for h.Len() > 0 {
+		e := heap.Pop(&h).(event)
+		if e.kind != evArrival {
+			pend := &en.slots[e.slot].ev
+			if pend.kind == evNone || pend.seq != e.seq {
+				continue
+			}
+			pend.kind = evNone
+		}
 		log = append(log, e)
 		en.step(e, nil)
+		for si := range en.slots {
+			if pend := en.slots[si].ev; pend.kind != evNone && pend.seq >= pushed {
+				heap.Push(&h, pend)
+			}
+		}
+		pushed = en.seq
 	}
 	return log, en.result()
 }
@@ -40,23 +77,67 @@ func cursorReplay(cfg Config, jobs []Job) ([]event, Result) {
 	en := new(engine)
 	en.reset(cfg, jobs)
 	var log []event
-	for en.pending() {
-		e := en.next()
+	for {
+		e, ok := en.next()
+		if !ok {
+			return log, en.result()
+		}
 		log = append(log, e)
 		en.step(e, nil)
 	}
-	return log, en.result()
 }
 
-// TestArrivalCursorMatchesHeap: random job lists — unsorted arrivals drawn
-// from a few instants so that arrivals tie with each other and with loads
-// and completions, sorted lists, and all-simultaneous lists — handle the
-// same event sequence and give the same Result whether arrivals stream from
-// the cursor or all sit in the heap from the start. Run agrees with both.
-func TestArrivalCursorMatchesHeap(t *testing.T) {
+// TestSlotEventsMatchHeap: random job lists — unsorted arrivals drawn from
+// a few instants so that arrivals tie with each other and with loads and
+// completions, sorted lists, and all-simultaneous lists — and the bench mix
+// handle the same event sequence and give the same Result whether events
+// come from the arrival cursor and the slots' pending events or from a heap
+// holding every arrival and every scheduled slot event. A completed run
+// handles exactly one event per arrival, load or restore, and completion;
+// Run and the engine's loop agree.
+func TestSlotEventsMatchHeap(t *testing.T) {
 	const prms = 3
+	runs, preemptions := 0, int64(0)
+	check := func(where string, cfg Config, jobs []Job) {
+		t.Helper()
+		wantLog, want := heapReplay(cfg, jobs)
+		gotLog, got := cursorReplay(cfg, jobs)
+		if !reflect.DeepEqual(gotLog, wantLog) {
+			for i := range min(len(gotLog), len(wantLog)) {
+				if gotLog[i] != wantLog[i] {
+					t.Fatalf("%s: event %d is %+v, the heap replay's is %+v", where, i, gotLog[i], wantLog[i])
+				}
+			}
+			t.Fatalf("%s: %d events, the heap replay handles %d", where, len(gotLog), len(wantLog))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: result\n got %+v\nwant %+v", where, got, want)
+		}
+		if got.Completed == got.Jobs {
+			if n := got.Jobs + int(got.Reconfigs) + got.Completed; len(gotLog) != n {
+				t.Fatalf("%s: %d events handled, want jobs + reconfigs + completions = %d (%d preemptions)",
+					where, len(gotLog), n, got.Preemptions)
+			}
+		}
+		en := new(engine)
+		en.reset(cfg, jobs)
+		if err := en.loop(context.Background(), nil); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if en.events != len(gotLog) {
+			t.Fatalf("%s: the loop counts %d events, %d were handled", where, en.events, len(gotLog))
+		}
+		res, err := Run(context.Background(), cfg, jobs, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("%s: Run result\n got %+v\nwant %+v", where, res, want)
+		}
+		runs++
+		preemptions += got.Preemptions
+	}
 	rng := rand.New(rand.NewPCG(5, 6))
-	runs := 0
 	for rep := 0; rep < 120; rep++ {
 		plat := sharedTestPlatform(1+rng.IntN(3), prms)
 		jobs := make([]Job, rng.IntN(150))
@@ -81,32 +162,19 @@ func TestArrivalCursorMatchesHeap(t *testing.T) {
 		}
 		for _, name := range PolicyNames() {
 			pol, _ := PolicyByName(name)
-			cfg := Config{Platform: plat, Policy: pol, Estimator: nsPerByte(1)}
-			where := fmt.Sprintf("rep %d, %s, %d jobs", rep, name, len(jobs))
-			wantLog, want := heapReplay(cfg, jobs)
-			gotLog, got := cursorReplay(cfg, jobs)
-			if !reflect.DeepEqual(gotLog, wantLog) {
-				for i := range min(len(gotLog), len(wantLog)) {
-					if gotLog[i] != wantLog[i] {
-						t.Fatalf("%s: event %d is %+v, the heap replay's is %+v", where, i, gotLog[i], wantLog[i])
-					}
-				}
-				t.Fatalf("%s: %d events, the heap replay handles %d", where, len(gotLog), len(wantLog))
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: result\n got %+v\nwant %+v", where, got, want)
-			}
-			res, err := Run(context.Background(), cfg, jobs, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", where, err)
-			}
-			if !reflect.DeepEqual(res, want) {
-				t.Fatalf("%s: Run result\n got %+v\nwant %+v", where, res, want)
-			}
-			runs++
+			check(fmt.Sprintf("rep %d, %s, %d jobs", rep, name, len(jobs)),
+				Config{Platform: plat, Policy: pol, Estimator: nsPerByte(1)}, jobs)
 		}
 	}
-	t.Logf("%d runs", runs)
+	jobs := benchMix(t)
+	for _, name := range PolicyNames() {
+		pol, _ := PolicyByName(name)
+		check("bench mix, "+name, testConfig(pol), jobs)
+	}
+	if preemptions == 0 {
+		t.Fatal("no run preempts; replaced completions go untested")
+	}
+	t.Logf("%d runs, %d preemptions", runs, preemptions)
 }
 
 // fcfsScan is FCFSBestFit.Decide as it was before it compared level heads:

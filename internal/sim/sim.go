@@ -128,14 +128,19 @@ type Result struct {
 	PerSlot        []SlotStats `json:"per_slot,omitempty"`
 }
 
-// event kinds. Arrival events carry the job index; loaded/done events carry
-// the slot whose transfer or execution finished.
+// event kinds. An arrival carries the job index; a loaded or done event
+// carries the slot whose transfer or execution finishes. evNone marks a slot
+// with nothing pending.
 const (
-	evArrival = iota
+	evNone = iota
+	evArrival
 	evLoaded
 	evDone
 )
 
+// event is one point on the virtual clock. Events are handled in (at, seq)
+// order: virtual time first, scheduling order as the deterministic
+// tie-break.
 type event struct {
 	at   time.Duration
 	seq  int
@@ -144,82 +149,28 @@ type event struct {
 	slot int
 }
 
-// eventHeap is a typed 4-ary min-heap ordered by (at, seq): virtual time
-// first, insertion order as the deterministic tie-break. Because seq is
-// unique the order is total, so the pop sequence is independent of the heap
-// shape — swapping the old container/heap binary heap for this one cannot
-// change a replay. The 4-ary layout halves the tree depth (fewer cache
-// lines per sift) and the typed push/pop avoid the interface{} boxing that
-// cost two allocations per event. It holds only the events the run
-// generates (loads and completions, at most two per slot live at once);
-// arrivals stream from the engine's cursor instead (see engine.next).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !s.less(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	i := 0
-	for {
-		min := i
-		for c := 4*i + 1; c <= 4*i+4 && c < len(s); c++ {
-			if s.less(c, min) {
-				min = c
-			}
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	*h = s
-	return top
-}
-
 // slotRT is a slot's engine-side state; its policy-visible state, resident
 // PRM and running priority live in engine.viewSlots.
 type slotRT struct {
+	// ev is the slot's one pending event: its load finishing or its task
+	// completing. A preemption overwrites the victim's completion with the
+	// preemptor's load.
+	ev        event
 	cur       ReadyView
 	started   time.Duration // current exec burst start (valid in SlotRunning)
-	endSeq    int           // seq of the live completion event
 	busy      time.Duration
 	reconfigs int
 	icap      time.Duration
 }
 
 // engine is the per-run arena. Runs obtain one from enginePool and reset it,
-// so repeated replays of the same mix reuse the heap, ready queue, slot
+// so repeated replays of the same mix reuse the ready queue, slot
 // table, wait ledger and view buffers — the steady-state event loop performs
 // no heap allocation (gated by BenchmarkSimRun/loop in CI).
 type engine struct {
 	cfg  Config
 	jobs []Job
 
-	h   eventHeap
 	seq int
 	// arrived counts the arrivals handed out so far. order is the jobs'
 	// (Arrival, input index) order when the input is not already in it,
@@ -296,9 +247,8 @@ func (en *engine) reset(cfg Config, jobs []Job) {
 		en.restoreDur[i] = cfg.Estimator.Estimate(prr.RestoreBytes)
 	}
 
-	en.h = en.h[:0]
-	// Arrivals take seq = input index (see next), so generated events
-	// number from len(jobs) on.
+	// Arrivals take seq = input index (see next), so slot events number
+	// from len(jobs) on.
 	en.seq = len(jobs)
 	en.arrived = 0
 	en.orderArrivals()
@@ -413,8 +363,8 @@ func Run(ctx context.Context, cfg Config, jobs []Job, visit func(Snapshot) bool)
 	if err != nil {
 		return res, err
 	}
-	// Distinguish "visitor stopped the run" (not an error) from "the heap
-	// drained with jobs left behind" (a policy bug).
+	// Distinguish "visitor stopped the run" (not an error) from "the events
+	// ran out with jobs left behind" (a policy bug).
 	if en.completed != len(jobs) && !en.stopped {
 		return res, fmt.Errorf("sim: policy %s stranded %d jobs", cfg.Policy.Name(), len(jobs)-en.completed)
 	}
@@ -449,43 +399,56 @@ func (en *engine) orderArrivals() {
 	}
 }
 
-// pending reports whether an arrival or a generated event is left.
-func (en *engine) pending() bool { return en.arrived < len(en.jobs) || len(en.h) > 0 }
-
 // next takes the next event in (at, seq) order: the next arrival or the
-// heap top. An arrival's seq is its input index, and every generated event
-// numbers from len(jobs) on, so an arrival wins a tie in virtual time —
-// the order a heap holding every arrival from the start would pop.
-func (en *engine) next() event {
+// earliest pending slot event. It reports false when neither is left. An
+// arrival's seq is its input index, and every slot event numbers from
+// len(jobs) on, so an arrival wins a tie in virtual time.
+func (en *engine) next() (event, bool) {
+	var first *event
+	for si := range en.slots {
+		e := &en.slots[si].ev
+		if e.kind != evNone && (first == nil || e.at < first.at || e.at == first.at && e.seq < first.seq) {
+			first = e
+		}
+	}
 	if en.arrived < len(en.jobs) {
 		ji := en.arrived
 		if len(en.order) > 0 {
 			ji = en.order[ji]
 		}
-		if at := en.jobs[ji].Arrival; len(en.h) == 0 || at <= en.h[0].at {
+		if at := en.jobs[ji].Arrival; first == nil || at <= first.at {
 			en.arrived++
-			return event{at: at, seq: ji, kind: evArrival, job: ji}
+			return event{at: at, seq: ji, kind: evArrival, job: ji}, true
 		}
 	}
-	return en.h.pop()
+	if first == nil {
+		return event{}, false
+	}
+	e := *first
+	first.kind = evNone
+	return e, true
 }
 
-func (en *engine) push(e event) int {
-	e.seq = en.seq
+// schedule sets slot si's pending event to one of kind at time at, numbered
+// after every event scheduled before it.
+func (en *engine) schedule(si int, at time.Duration, kind int) {
+	en.slots[si].ev = event{at: at, seq: en.seq, kind: kind, slot: si}
 	en.seq++
-	en.h.push(e)
-	return e.seq
 }
 
 func (en *engine) loop(ctx context.Context, visit func(Snapshot) bool) error {
-	for en.pending() {
+	for {
+		e, ok := en.next()
+		if !ok {
+			break
+		}
 		en.events++
 		if en.events&1023 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if !en.step(en.next(), visit) {
+		if !en.step(e, visit) {
 			en.stopped = true
 			return nil
 		}
@@ -509,9 +472,6 @@ func (en *engine) step(e event, visit func(Snapshot) bool) bool {
 		en.viewSlots[e.slot].Loaded = cur.PRM
 		en.beginExec(e.at, e.slot, cur)
 	case evDone:
-		if en.viewSlots[e.slot].State != SlotRunning || en.slots[e.slot].endSeq != e.seq {
-			return true // cancelled by a preemption
-		}
 		en.complete(e.at, e.slot)
 		if en.cfg.SnapshotEvery > 0 && en.completed%en.cfg.SnapshotEvery == 0 && en.completed < len(en.jobs) {
 			if !en.emit(visit) {
@@ -563,19 +523,16 @@ func (en *engine) emit(visit func(Snapshot) bool) bool {
 }
 
 // xfer books one transfer on the shared ICAP FIFO: it starts when both the
-// requester is ready and the port is free, in request order.
-func (en *engine) xfer(at time.Duration, dur time.Duration, slot int) (start, done time.Duration) {
-	start = at
-	if en.icapFreeAt > start {
-		start = en.icapFreeAt
-	}
-	done = start + dur
-	en.icapFreeAt = done
+// requester is ready and the port is free, in request order. It returns
+// the time the transfer is done.
+func (en *engine) xfer(at time.Duration, dur time.Duration, slot int) time.Duration {
+	start := max(at, en.icapFreeAt)
+	en.icapFreeAt = start + dur
 	en.icapBusy += dur
 	en.transfers++
 	en.slots[slot].icap += dur
 	en.xferDurs = append(en.xferDurs, dur)
-	return start, done
+	return en.icapFreeAt
 }
 
 // enqueue inserts r into the ready queue after every job that sorts before
@@ -714,21 +671,28 @@ func (en *engine) apply(now time.Duration, act Action) bool {
 // startOn occupies an idle slot: immediately when the module is already
 // resident, otherwise after a load (or restore) transfer through the ICAP.
 func (en *engine) startOn(now time.Duration, si int, rj ReadyView) {
-	sl := &en.slots[si]
 	if en.viewSlots[si].Loaded == rj.PRM && !rj.Restore {
 		en.beginExec(now, si, rj)
 		return
 	}
+	en.load(now, si, rj)
+}
+
+// load books rj's module load into slot si on the ICAP, or its restore when
+// rj carries saved state, and schedules the slot's evLoaded for when the
+// transfer is done.
+func (en *engine) load(now time.Duration, si int, rj ReadyView) {
 	dur := en.loadDur[si]
 	if rj.Restore {
 		dur = en.restoreDur[si]
 	}
-	_, done := en.xfer(now, dur, si)
+	done := en.xfer(now, dur, si)
 	en.viewSlots[si] = SlotView{State: SlotLoading, Loaded: -1}
+	sl := &en.slots[si]
 	sl.cur = rj
 	sl.reconfigs++
 	en.reconfigs++
-	en.push(event{at: done, kind: evLoaded, slot: si})
+	en.schedule(si, done, evLoaded)
 }
 
 func (en *engine) beginExec(now time.Duration, si int, rj ReadyView) {
@@ -737,7 +701,7 @@ func (en *engine) beginExec(now time.Duration, si int, rj ReadyView) {
 	sv.State, sv.Priority = SlotRunning, rj.Priority
 	sl.cur = rj
 	sl.started = now
-	sl.endSeq = en.push(event{at: now + rj.Remaining, kind: evDone, slot: si})
+	en.schedule(si, now+rj.Remaining, evDone)
 }
 
 // preempt evicts the running task: after the capture settle its context is
@@ -761,18 +725,8 @@ func (en *engine) preempt(now time.Duration, si int, rj ReadyView) {
 	en.xfer(now+DefaultCaptureOverhead, en.saveDur[si], si)
 	victim.Restore = true
 	en.enqueue(victim)
-	// The victim's completion event dies by seq mismatch; the slot loads
-	// the preemptor next.
-	dur := en.loadDur[si]
-	if rj.Restore {
-		dur = en.restoreDur[si]
-	}
-	_, done := en.xfer(now, dur, si)
-	en.viewSlots[si] = SlotView{State: SlotLoading, Loaded: -1}
-	sl.cur = rj
-	sl.reconfigs++
-	en.reconfigs++
-	en.push(event{at: done, kind: evLoaded, slot: si})
+	// The preemptor's load replaces the victim's pending completion.
+	en.load(now, si, rj)
 }
 
 func (en *engine) complete(at time.Duration, si int) {

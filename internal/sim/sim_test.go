@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -476,36 +477,6 @@ func TestVisitorStopsRun(t *testing.T) {
 	}
 }
 
-// TestEventHeapOrder pins the typed 4-ary heap to the (at, seq) total
-// order: any push sequence must pop in exactly sorted order, which is what
-// makes the heap swap invisible to golden replays.
-func TestEventHeapOrder(t *testing.T) {
-	var h eventHeap
-	rng := uint64(42)
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
-	const n = 5000
-	for seq := 0; seq < n; seq++ {
-		// Coarse timestamps force plenty of (at) ties resolved by seq.
-		h.push(event{at: time.Duration(next() % 64), seq: seq})
-	}
-	var prev event
-	for i := 0; i < n; i++ {
-		e := h.pop()
-		if i > 0 && (e.at < prev.at || (e.at == prev.at && e.seq < prev.seq)) {
-			t.Fatalf("pop %d out of order: (%v,%d) after (%v,%d)", i, e.at, e.seq, prev.at, prev.seq)
-		}
-		prev = e
-	}
-	if len(h) != 0 {
-		t.Fatalf("%d events left after draining", len(h))
-	}
-}
-
 // TestResultStableAcrossCalls guards the in-place wait-ledger sort: result()
 // must be idempotent, returning identical quantiles on every call instead
 // of re-copying and re-sorting the waits slice.
@@ -536,7 +507,9 @@ func TestResultStableAcrossCalls(t *testing.T) {
 
 // TestPooledRunsIdentical replays the same mix through the public Run twice;
 // the second run reuses the pooled engine arena and must produce an
-// identical Result.
+// identical Result. An engine reused after a partial run — stopped by its
+// visitor, or cancelled mid-run, both leaving slot events pending and jobs
+// queued — must replay like a fresh one: reset clears what the run left.
 func TestPooledRunsIdentical(t *testing.T) {
 	mix := Mix{Jobs: 600, Seed: 13, MeanGap: 40 * time.Microsecond,
 		MeanExec: 250 * time.Microsecond, PriorityLevels: 4, Arrival: ArrivalBursty}
@@ -557,6 +530,54 @@ func TestPooledRunsIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("policy %s: pooled re-run differs:\n got %+v\nwant %+v", name, b, a)
+		}
+
+		// A stale slot event fires in a replay only if its slot stays idle
+		// past it, so the reused engine also replays the mix started late.
+		late := slices.Clone(jobs)
+		for i := range late {
+			late[i].Arrival += time.Second
+		}
+		for _, replay := range [][]Job{jobs, late} {
+			for _, how := range []string{"stopped by its visitor", "cancelled"} {
+				cancelled := how == "cancelled"
+				ctx, cancel := context.WithCancel(context.Background())
+				en := new(engine)
+				partial := cfg
+				partial.SnapshotEvery = 20
+				en.reset(partial, jobs)
+				err := en.loop(ctx, func(s Snapshot) bool {
+					if cancelled && s.Seq == 2 {
+						cancel()
+					}
+					return cancelled || s.Seq < 2
+				})
+				cancel()
+				if (err != nil) != cancelled {
+					t.Fatalf("policy %s, run %s: loop returned %v", name, how, err)
+				}
+				pending := false
+				for _, sl := range en.slots {
+					pending = pending || sl.ev.kind != evNone
+				}
+				if !pending || len(en.ready) == en.head || en.completed == len(jobs) {
+					t.Fatalf("policy %s, run %s: %d of %d completed, %d queued, slot events pending %v; want a partial run with both",
+						name, how, en.completed, len(jobs), len(en.ready)-en.head, pending)
+				}
+				en.reset(cfg, replay)
+				if err := en.loop(context.Background(), nil); err != nil {
+					t.Fatal(err)
+				}
+				fresh := new(engine)
+				fresh.reset(cfg, replay)
+				if err := fresh.loop(context.Background(), nil); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := en.result(), fresh.result(); !reflect.DeepEqual(got, want) || en.events != fresh.events {
+					t.Fatalf("policy %s: engine reused after a run %s replays differently (%d events, want %d):\n got %+v\nwant %+v",
+						name, how, en.events, fresh.events, got, want)
+				}
+			}
 		}
 	}
 }
