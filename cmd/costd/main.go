@@ -15,8 +15,9 @@
 //
 // Endpoints: GET /v1/devices, POST /v1/prr, POST /v1/bitstream,
 // POST /v1/explore (NDJSON stream), POST /v1/simulate (NDJSON stream),
-// GET /healthz, GET /metrics (including the rolling SLO gauges),
-// GET /debug/slo.
+// GET /healthz, GET /metrics (per endpoint: service_requests_total,
+// service_request_failures_total and the service_request_seconds latency
+// histogram).
 //
 // Every response carries X-Request-ID: the trace ID from the caller's W3C
 // traceparent header when one was sent, a freshly minted one otherwise. With
@@ -27,8 +28,7 @@
 // SIGINT/SIGTERM shut down gracefully: in-flight requests and exploration
 // and simulation streams drain within -grace, then stragglers are cancelled.
 // With -summary the per-run metric summary — including the service section
-// (requests, coalesced, cache hits, shed) and the rolling SLO standings — is
-// written on exit.
+// (requests, coalesced, cache hits, shed) — is written on exit.
 package main
 
 import (
@@ -40,6 +40,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obscli"
 	"repro/internal/report"
 	"repro/internal/service"
@@ -49,6 +50,8 @@ func main() {
 	addr := flag.String("addr", ":8433", "listen address (\":0\" picks a free port)")
 	cache := flag.Int("cache", service.DefaultCacheEntries, "response cache entries across shards (negative = off)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown drain budget")
+	accessLogOut := flag.String("access-log", "",
+		"write one JSON line per served request to this file (empty = off)")
 	obsFlags := obscli.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -56,11 +59,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var accessLog *obs.AccessLog
+	if *accessLogOut != "" {
+		file, err := os.Create(*accessLogOut)
+		if err != nil {
+			fatal(fmt.Errorf("opening access log: %w", err))
+		}
+		accessLog = obs.NewAccessLog(file)
+	}
 
 	srv := service.New(service.Config{
 		CacheEntries: *cache,
 		Tracer:       sess.Tracer(),
-		AccessLog:    sess.AccessLog(),
+		AccessLog:    accessLog,
 	})
 	if err := srv.Start(*addr); err != nil {
 		fatal(err)
@@ -77,16 +88,17 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "costd: forced shutdown: %v\n", err)
 	}
+	accessErr := accessLog.Close()
 
-	sess.SummaryHook = func(sum *report.RunSummary) {
-		sum.Service = srv.Stats()
-		sum.SLO = report.NewSLOSummary(srv.SLO())
-	}
+	sess.SummaryHook = func(sum *report.RunSummary) { sum.Service = srv.Stats() }
 	if err := sess.Finish("", map[string]string{
 		"addr":  *addr,
 		"cache": fmt.Sprint(*cache),
 	}); err != nil {
 		fatal(err)
+	}
+	if accessErr != nil {
+		fatal(fmt.Errorf("closing access log: %w", accessErr))
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package obs is the engine's dependency-free observability layer: an
 // atomic metrics registry (counters, gauges, histograms with fixed bucket
 // layouts suited to the cost models' µs–ms evaluation latencies), lightweight
-// span tracing propagated through context.Context, and an opt-in HTTP debug
-// server exposing Prometheus text metrics, expvar and pprof.
+// span tracing propagated through context.Context, a JSONL access-log sink,
+// and an opt-in HTTP debug server exposing Prometheus text metrics, expvar
+// and pprof. Series are cumulative; windowed rates and quantiles are the
+// scraper's to take.
 //
 // The default path is designed to cost nothing measurable: counters and
 // gauges are single atomic words, and anything heavier — span creation,

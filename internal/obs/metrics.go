@@ -45,8 +45,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last is overflow (+Inf)
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	sum    atomic.Uint64  // float64 bits, CAS-accumulated
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -63,15 +62,14 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = overflow
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	h.addSum(v)
 }
 
 // ObserveDurations records each duration in seconds, with the bucket counts
-// and count Observe would give them one by one. The batch is tallied
-// locally first, so it costs one atomic add per non-empty bucket and one
-// CAS on the sum however long it is: a simulation run records its per-job
-// waits this way once, instead of contending on shared counters per event.
+// Observe would give them one by one. The batch is tallied locally first, so
+// it costs one atomic add per non-empty bucket and one CAS on the sum however
+// long it is: a simulation run records its per-job waits this way once,
+// instead of contending on shared counters per event.
 func (h *Histogram) ObserveDurations(ds []time.Duration) {
 	if len(ds) == 0 {
 		return
@@ -92,7 +90,6 @@ func (h *Histogram) ObserveDurations(ds []time.Duration) {
 			h.counts[i].Add(local[i])
 		}
 	}
-	h.count.Add(int64(len(ds)))
 	h.addSum(sum)
 }
 
@@ -119,18 +116,18 @@ type HistogramSnapshot struct {
 	Sum    float64
 }
 
-// Snapshot copies the histogram state. Buckets are read individually, so a
-// snapshot taken during concurrent observation may be mid-update by a few
-// counts; export readers tolerate that.
+// Snapshot copies the histogram state. Count is the sum of the bucket loads,
+// so the snapshot agrees with itself under concurrent observation; Sum is
+// read separately and may be a few observations ahead or behind.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: make([]int64, len(h.counts)),
-		Count:  h.count.Load(),
 		Sum:    math.Float64frombits(h.sum.Load()),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

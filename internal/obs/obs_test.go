@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +107,81 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := h.Snapshot().Count; got != workers*per {
 		t.Errorf("count = %d, want %d", got, workers*per)
+	}
+}
+
+// TestHistogramSnapshotConsistent: snapshots and Prometheus text taken while
+// Observe and ObserveDurations run agree with themselves: the buckets sum to
+// the count, the cumulative buckets never decrease, and the +Inf bucket
+// equals _count.
+func TestHistogramSnapshotConsistent(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("req_seconds", "latency", []float64{0.001, 0.01, 0.1})
+	// No value overflows: a count that lags its buckets then shows as a
+	// +Inf bucket below the last finite one.
+	values := []float64{0.0005, 0.005, 0.05}
+	batch := []time.Duration{500 * time.Microsecond, 5 * time.Millisecond, 50 * time.Millisecond}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if w%2 == 0 {
+					h.Observe(values[i%len(values)])
+				} else {
+					h.ObserveDurations(batch)
+				}
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(stop)
+
+	var b strings.Builder
+	for range 2000 {
+		s := h.Snapshot()
+		var total int64
+		for _, c := range s.Counts {
+			total += c
+		}
+		if total != s.Count {
+			t.Fatalf("snapshot buckets sum to %d, count says %d", total, s.Count)
+		}
+
+		b.Reset()
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		var prev, inf, count int64 = -1, -1, -1
+		for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
+			name, val, _ := strings.Cut(line, " ")
+			v, err := strconv.ParseInt(val, 10, 64)
+			switch {
+			case strings.HasPrefix(name, "req_seconds_bucket"):
+				if err != nil || v < prev {
+					t.Fatalf("bucket %s = %s after %d: cumulative buckets decrease", name, val, prev)
+				}
+				prev = v
+				if strings.Contains(name, `le="+Inf"`) {
+					inf = v
+				}
+			case name == "req_seconds_count":
+				count = v
+			}
+		}
+		if inf < 0 || inf != count {
+			t.Fatalf("+Inf bucket %d, _count %d:\n%s", inf, count, b.String())
+		}
 	}
 }
 

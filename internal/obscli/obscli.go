@@ -1,9 +1,8 @@
 // Package obscli wires the observability layer into commands: the shared
-// -metrics-addr/-trace-out/-access-log/-pprof/-summary/-hold flags,
-// debug-server, trace-sink and access-log lifecycle, and the per-run JSON
-// summary. It exists so the commands expose identical observability surfaces
-// without duplicating the plumbing; internal/obs itself stays
-// dependency-free.
+// -metrics-addr/-trace-out/-pprof/-summary/-hold flags, debug-server and
+// trace-sink lifecycle, and the per-run JSON summary. It exists so the
+// commands expose identical observability surfaces without duplicating the
+// plumbing; internal/obs itself stays dependency-free.
 package obscli
 
 import (
@@ -19,12 +18,11 @@ import (
 
 // Flags holds the observability command-line options.
 type Flags struct {
-	MetricsAddr  string
-	TraceOut     string
-	AccessLogOut string
-	Pprof        bool
-	SummaryOut   string
-	Hold         time.Duration
+	MetricsAddr string
+	TraceOut    string
+	Pprof       bool
+	SummaryOut  string
+	Hold        time.Duration
 }
 
 // Register installs the observability flags on fs.
@@ -34,8 +32,6 @@ func Register(fs *flag.FlagSet) *Flags {
 		"serve /metrics and /debug/vars on this address (e.g. :8080 or :0; empty = off)")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
 		"write spans as JSON lines to this file (empty = off)")
-	fs.StringVar(&f.AccessLogOut, "access-log", "",
-		"write one JSON line per served request to this file (empty = off)")
 	fs.BoolVar(&f.Pprof, "pprof", false,
 		"also serve net/http/pprof under /debug/pprof on the metrics address")
 	fs.StringVar(&f.SummaryOut, "summary", "",
@@ -47,16 +43,15 @@ func Register(fs *flag.FlagSet) *Flags {
 
 // Session is the running observability state for one command invocation.
 type Session struct {
-	tool      string
-	flags     *Flags
-	server    *obs.Server
-	sink      *obs.JSONLSink
-	tracer    *obs.Tracer
-	accessLog *obs.AccessLog
+	tool   string
+	flags  *Flags
+	server *obs.Server
+	sink   *obs.JSONLSink
+	tracer *obs.Tracer
 
 	// SummaryHook, when set, runs against the run summary before it is
-	// written, so commands can attach sections (service stats, SLO standings)
-	// the registry alone cannot provide.
+	// written, so commands can attach sections (service stats) the registry
+	// alone cannot provide.
 	SummaryHook func(*report.RunSummary)
 }
 
@@ -84,22 +79,11 @@ func (f *Flags) Start(tool string) (*Session, error) {
 		s.sink = obs.NewJSONLSink(file)
 		s.tracer = obs.NewTracer(s.sink)
 	}
-	if f.AccessLogOut != "" {
-		file, err := os.Create(f.AccessLogOut)
-		if err != nil {
-			return nil, fmt.Errorf("opening access log: %w", err)
-		}
-		s.accessLog = obs.NewAccessLog(file)
-	}
 	return s, nil
 }
 
 // Tracer returns the session's tracer, or nil when -trace-out is off.
 func (s *Session) Tracer() *obs.Tracer { return s.tracer }
-
-// AccessLog returns the session's access-log sink, or nil when -access-log is
-// off. The session owns Close (in Finish); callers only Write.
-func (s *Session) AccessLog() *obs.AccessLog { return s.accessLog }
 
 // Context attaches the session's tracer (if any) to ctx, so StartSpan calls
 // downstream record spans.
@@ -135,11 +119,6 @@ func (s *Session) Finish(device string, params map[string]string) error {
 	if s.sink != nil {
 		if err := s.sink.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("closing trace file: %w", err)
-		}
-	}
-	if s.accessLog != nil {
-		if err := s.accessLog.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("closing access log: %w", err)
 		}
 	}
 	if s.server != nil {

@@ -30,9 +30,6 @@ type RunSummary struct {
 	// Service summarizes a serving run (costd -summary); nil for the batch
 	// tools. Additive within repro/run-summary/v1: old readers ignore it.
 	Service *ServiceSummary `json:"service,omitempty"`
-	// SLO is the rolling-window SLO standing at summary time; nil when the
-	// run tracked no objectives. Additive within repro/run-summary/v1.
-	SLO *SLOSummary `json:"slo,omitempty"`
 	// Sim summarizes a multitasking simulation (mtsim); nil for other
 	// tools. Additive within repro/run-summary/v1.
 	Sim *SimSummary `json:"sim,omitempty"`
@@ -89,85 +86,6 @@ func (s *ServiceSummary) Validate() error {
 	if s.SimCancelled > s.SimStreams {
 		return fmt.Errorf("report: service cancelled %d sim streams but only %d opened",
 			s.SimCancelled, s.SimStreams)
-	}
-	return nil
-}
-
-// SLOSummary is the rolling-SLO rollup: the window geometry and each
-// endpoint's standing against its objective at the moment the summary was
-// built. It is the JSON shape behind both /debug/slo and run summaries.
-type SLOSummary struct {
-	// WindowNS is the total duration the merged rolling window covers.
-	WindowNS int64 `json:"window_ns"`
-	// Endpoints is each tracked endpoint's standing, sorted by name.
-	Endpoints []SLOEndpoint `json:"endpoints"`
-}
-
-// SLOEndpoint is one endpoint's rolling-window SLO standing.
-type SLOEndpoint struct {
-	Endpoint string `json:"endpoint"`
-	// ObjectiveP99NS / ErrorBudget echo the declared objective; zero when the
-	// endpoint has none.
-	ObjectiveP99NS int64   `json:"objective_p99_ns,omitempty"`
-	ErrorBudget    float64 `json:"error_budget,omitempty"`
-	Requests       int64   `json:"requests"`
-	Errors         int64   `json:"errors"`
-	// P50NS/P90NS/P99NS are the window's interpolated latency quantiles.
-	P50NS int64 `json:"p50_ns"`
-	P90NS int64 `json:"p90_ns"`
-	P99NS int64 `json:"p99_ns"`
-	// BudgetBurn is observed failure fraction over allowed; > 1 = exhausted.
-	BudgetBurn float64 `json:"budget_burn"`
-	Pass       bool    `json:"pass"`
-}
-
-// NewSLOSummary snapshots a tracker into its summary form; nil trackers
-// yield nil so the section stays absent from runs without SLO tracking.
-func NewSLOSummary(t *obs.SLOTracker) *SLOSummary {
-	if t == nil {
-		return nil
-	}
-	s := &SLOSummary{WindowNS: int64(t.Window())}
-	for _, st := range t.Report() {
-		s.Endpoints = append(s.Endpoints, SLOEndpoint{
-			Endpoint:       st.Endpoint,
-			ObjectiveP99NS: int64(st.Objective.P99),
-			ErrorBudget:    st.Objective.ErrorBudget,
-			Requests:       st.Requests,
-			Errors:         st.Errors,
-			P50NS:          int64(st.P50),
-			P90NS:          int64(st.P90),
-			P99NS:          int64(st.P99),
-			BudgetBurn:     st.BudgetBurn,
-			Pass:           st.Pass,
-		})
-	}
-	return s
-}
-
-// Validate checks the rollup's internal consistency.
-func (s *SLOSummary) Validate() error {
-	if s.WindowNS <= 0 {
-		return fmt.Errorf("report: slo window %d ns is not positive", s.WindowNS)
-	}
-	for i, ep := range s.Endpoints {
-		if ep.Endpoint == "" {
-			return fmt.Errorf("report: slo endpoint %d has no name", i)
-		}
-		if i > 0 && s.Endpoints[i-1].Endpoint >= ep.Endpoint {
-			return fmt.Errorf("report: slo endpoints not sorted at %q", ep.Endpoint)
-		}
-		if ep.Requests < 0 || ep.Errors < 0 || ep.Errors > ep.Requests {
-			return fmt.Errorf("report: slo endpoint %q has %d errors over %d requests",
-				ep.Endpoint, ep.Errors, ep.Requests)
-		}
-		if ep.P50NS > ep.P90NS || ep.P90NS > ep.P99NS {
-			return fmt.Errorf("report: slo endpoint %q quantiles not monotone: %d %d %d",
-				ep.Endpoint, ep.P50NS, ep.P90NS, ep.P99NS)
-		}
-		if ep.BudgetBurn < 0 {
-			return fmt.Errorf("report: slo endpoint %q has negative budget burn", ep.Endpoint)
-		}
 	}
 	return nil
 }
@@ -277,11 +195,6 @@ func ReadRunSummary(r io.Reader) (*RunSummary, error) {
 	}
 	if s.Service != nil {
 		if err := s.Service.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if s.SLO != nil {
-		if err := s.SLO.Validate(); err != nil {
 			return nil, err
 		}
 	}

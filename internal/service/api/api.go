@@ -255,6 +255,9 @@ func (r *ExploreRequest) Validate() error {
 	if r.Device == "" {
 		return fmt.Errorf("api: explore request needs a device")
 	}
+	if r.SyntheticN < 0 {
+		return fmt.Errorf("api: negative synthetic_n")
+	}
 	if (len(r.PRMs) == 0) == (r.SyntheticN == 0) {
 		return fmt.Errorf("api: explore request needs exactly one of prms and synthetic_n")
 	}
@@ -443,6 +446,9 @@ type SimulateRequest struct {
 func (r *SimulateRequest) Validate() error {
 	if r.Device == "" {
 		return fmt.Errorf("api: simulate request needs a device")
+	}
+	if r.SyntheticN < 0 {
+		return fmt.Errorf("api: negative synthetic_n")
 	}
 	if (len(r.PRMs) == 0) == (r.SyntheticN == 0) {
 		return fmt.Errorf("api: simulate request needs exactly one of prms and synthetic_n")

@@ -91,6 +91,7 @@ func TestExploreRequestValidate(t *testing.T) {
 	for name, bad := range map[string]ExploreRequest{
 		"no device":        {SyntheticN: 4},
 		"neither workload": {Device: "d"},
+		"negative n":       {Device: "d", SyntheticN: -3},
 		"both workloads":   {Device: "d", PRMs: []PRM{{}}, SyntheticN: 4},
 		"too many PRMs":    {Device: "d", SyntheticN: MaxExplorePRMs + 1},
 		"bad symmetry":     {Device: "d", SyntheticN: 4, Options: ExploreOptions{Symmetry: "maybe"}},

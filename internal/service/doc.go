@@ -13,7 +13,6 @@
 //	POST /v1/simulate  multitasking simulation, streamed as NDJSON
 //	GET  /healthz      liveness
 //	GET  /metrics      Prometheus text (the process obs registry)
-//	GET  /debug/slo    rolling per-endpoint SLO standings
 //
 // Every request takes one of two paths. Cacheable requests — batches,
 // front-only explorations, summary-only simulations — go through cached:

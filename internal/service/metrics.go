@@ -10,6 +10,7 @@ import (
 // side by side. Per-endpoint series are labeled; the Stats rollup sums them.
 type serviceMetrics struct {
 	requests map[string]*obs.Counter
+	failures map[string]*obs.Counter
 	latency  map[string]*obs.Histogram
 	inflight *obs.Gauge
 
@@ -35,6 +36,7 @@ var endpointNames = []string{"devices", "prr", "bitstream", "explore", "simulate
 func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	m := &serviceMetrics{
 		requests: make(map[string]*obs.Counter, len(endpointNames)),
+		failures: make(map[string]*obs.Counter, len(endpointNames)),
 		latency:  make(map[string]*obs.Histogram, len(endpointNames)),
 		inflight: reg.Gauge("service_inflight", "admitted requests currently being served"),
 
@@ -67,6 +69,9 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	for _, ep := range endpointNames {
 		m.requests[ep] = reg.Counter("service_requests_total",
 			"admitted API requests per endpoint", obs.L("endpoint", ep))
+		m.failures[ep] = reg.Counter("service_request_failures_total",
+			"requests per endpoint answered 5xx or 429, shed and drain-refused ones included",
+			obs.L("endpoint", ep))
 		m.latency[ep] = reg.Histogram("service_request_seconds",
 			"request latency per endpoint", obs.LatencyBuckets, obs.L("endpoint", ep))
 	}

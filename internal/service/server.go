@@ -45,20 +45,6 @@ type Config struct {
 // and simulations: the 32-bit ICAP fed from DDR SDRAM.
 var estimator icap.Estimator = icap.SizeModel{Port: icap.ICAP32, Media: icap.MediaDDRSDRAM}
 
-// DefaultObjectives is the serving SLO the rolling tracker scores requests
-// against at /debug/slo: tight on the O(1) endpoints, loose on explorations
-// (dominated by engine time, not serving overhead).
-func DefaultObjectives() []obs.Objective {
-	return []obs.Objective{
-		{Endpoint: "healthz", P99: 50 * time.Millisecond},
-		{Endpoint: "devices", P99: 100 * time.Millisecond},
-		{Endpoint: "prr", P99: 500 * time.Millisecond, ErrorBudget: 0.01},
-		{Endpoint: "bitstream", P99: 500 * time.Millisecond, ErrorBudget: 0.01},
-		{Endpoint: "explore", P99: 30 * time.Second, ErrorBudget: 0.05},
-		{Endpoint: "simulate", P99: 30 * time.Second, ErrorBudget: 0.05},
-	}
-}
-
 // Serving capacities. DefaultCacheEntries is the zero Config's entry cap.
 // The other two are fixed: DefaultCacheBytes bounds the response cache's
 // memory whatever its entry cap, and admission sheds every request past
@@ -75,7 +61,6 @@ const (
 type Server struct {
 	cfg   Config
 	met   *serviceMetrics
-	slo   *obs.SLOTracker
 	mux   *http.ServeMux
 	cache *lruCache
 	// flight coalesces identical in-flight cacheable evaluations.
@@ -118,7 +103,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		met:    newServiceMetrics(cfg.Registry),
-		slo:    obs.NewSLOTracker(DefaultObjectives()),
 		cache:  newLRUCache(cfg.CacheEntries),
 		flight: newFlightGroup(),
 	}
@@ -141,10 +125,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = cfg.Registry.WritePrometheus(w)
-		_ = s.slo.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /debug/slo", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, report.NewSLOSummary(s.slo))
 	})
 	s.mux = mux
 	return s
@@ -263,9 +243,6 @@ func (s *Server) Close() error {
 // Stats rolls the serving metrics into the run-summary service section.
 func (s *Server) Stats() *report.ServiceSummary { return s.met.Summary() }
 
-// SLO exposes the rolling SLO tracker (for run summaries and tests).
-func (s *Server) SLO() *obs.SLOTracker { return s.slo }
-
 // reqInfo is the annotation channel between the middleware and the handlers
 // it wraps: handlers record the canonical request key and drain refusals,
 // the deferred access-log write reads them.
@@ -322,8 +299,10 @@ func (c *countingWriter) status() int {
 	return c.code
 }
 
-// wrap applies request tracing, admission control, accounting, SLO tracking
-// and access logging around a handler. The trace ID — extracted from a W3C
+// wrap applies request tracing, admission control, accounting and access
+// logging around a handler. A request fails — and counts in
+// service_request_failures_total — when it is answered 5xx or 429, shed and
+// drain-refused requests included. The trace ID — extracted from a W3C
 // traceparent header when the caller sent one, minted otherwise — is echoed
 // as X-Request-ID on every response, including sheds and drain refusals, so
 // a rejected client can still quote a correlatable ID. Liveness (/healthz)
@@ -352,8 +331,9 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		defer func() {
 			dur := time.Since(t0)
 			status := rec.status()
-			s.slo.Observe(endpoint, dur,
-				status >= http.StatusInternalServerError || status == http.StatusTooManyRequests)
+			if status >= http.StatusInternalServerError || status == http.StatusTooManyRequests {
+				s.met.failures[endpoint].Inc()
+			}
 			s.cfg.AccessLog.Write(obs.AccessRecord{
 				Method:   r.Method,
 				Endpoint: endpoint,

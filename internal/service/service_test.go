@@ -21,7 +21,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/icap"
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/service/api"
 )
 
@@ -223,6 +222,7 @@ func TestBadRequests(t *testing.T) {
 		"empty batch":      {"/v1/bitstream", `{"device":"XC6VLX75T","items":[]}`},
 		"both workloads":   {"/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3,"prms":[{"req":{"luts":1}}]}`},
 		"negative workers": {"/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3,"options":{"workers":-1}}`},
+		"negative n":       {"/v1/explore", `{"device":"XC6VLX75T","synthetic_n":-3}`},
 	} {
 		resp, raw := post(t, ts, tc.path, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -850,63 +850,88 @@ func TestStreamedExploreLogsKey(t *testing.T) {
 	}
 }
 
-// TestDebugSLO: /debug/slo serves the rolling standings — declared endpoints
-// appear even before traffic, served traffic lands in its endpoint's window,
-// and the payload validates against the summary schema.
-func TestDebugSLO(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	body := `{"device":"XC6VLX75T","prms":[{"req":{"luts":500,"ffs":400}}]}`
-	post(t, ts, "/v1/prr", body)
-	post(t, ts, "/v1/prr", body)
+// TestRequestFailuresCounted: service_request_failures_total counts each
+// request answered 429 or 5xx once under its endpoint — an admission shed, a
+// drain refusal and an engine error — and never a client error; /metrics
+// serves the request counter, the latency histogram and the failure counter
+// for every endpoint.
+func TestRequestFailuresCounted(t *testing.T) {
+	gate := make(chan struct{})
+	entered := make(chan struct{})
+	var buf logBuf
+	al := obs.NewAccessLog(&buf)
+	s, ts := newTestServer(t, Config{
+		AccessLog:   al,
+		maxInflight: 1,
+		evalHook: func(endpoint string) {
+			if endpoint == "bitstream" {
+				close(entered)
+				<-gate
+			}
+		},
+	})
+	held := make(chan int, 1)
+	go func() {
+		resp, _, err := tryPost(ts, "/v1/bitstream", `{"device":"XC6VLX75T","items":[{"h":1,"w_clb":1}]}`)
+		if err != nil {
+			t.Errorf("held request: %v", err)
+			held <- 0
+			return
+		}
+		held <- resp.StatusCode
+	}()
+	<-entered
+	// Registered after the server's cleanups, so it runs before them: a
+	// failed step must not leave the held request blocking the shutdown.
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	expect := func(name, path, body string, status int) {
+		t.Helper()
+		if resp, raw := post(t, ts, path, body); resp.StatusCode != status {
+			t.Fatalf("%s: status %d, want %d: %s", name, resp.StatusCode, status, raw)
+		}
+	}
+	prr := `{"device":"XC6VLX75T","prms":[{"req":{"luts":500,"ffs":400}}]}`
+	expect("shed", "/v1/prr", prr, http.StatusTooManyRequests)
+	release()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request finished with status %d", code)
+	}
+	expect("client error", "/v1/prr", `{"device":`, http.StatusBadRequest)
+	expect("served", "/v1/prr", prr, http.StatusOK)
+	expect("engine error", "/v1/simulate",
+		`{"device":"XC6VLX75T","summary_only":true,"mix":{"jobs":10},"prms":[{"name":"huge","req":{"luts":10000000,"ffs":10000000}}]}`,
+		http.StatusInternalServerError)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("idle Shutdown: %v", err)
+	}
+	expect("drain refusal", "/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3}`, http.StatusServiceUnavailable)
 
-	resp, err := http.Get(ts.URL + "/debug/slo")
+	// The counter moves before the access-log write in the same deferred
+	// call, so six logged lines mean every request has been accounted.
+	waitLines(t, al, 6)
+	want := map[string]int64{"prr": 1, "simulate": 1, "explore": 1}
+	for _, ep := range endpointNames {
+		if got := s.met.failures[ep].Value(); got != want[ep] {
+			t.Errorf("failures{endpoint=%q} = %d, want %d", ep, got, want[ep])
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sum report.SLOSummary
-	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
-		t.Fatal(err)
-	}
-	if err := sum.Validate(); err != nil {
-		t.Fatalf("/debug/slo payload invalid: %v", err)
-	}
-	if sum.WindowNS != int64(time.Minute) {
-		t.Errorf("window %d ns, want one minute", sum.WindowNS)
-	}
-	got := map[string]report.SLOEndpoint{}
-	for _, ep := range sum.Endpoints {
-		got[ep.Endpoint] = ep
-	}
-	prr, ok := got["prr"]
-	if !ok {
-		t.Fatalf("prr missing from %+v", sum.Endpoints)
-	}
-	if prr.Requests != 2 || !prr.Pass || prr.P99NS <= 0 {
-		t.Errorf("prr standing %+v, want 2 passing requests with a quantile", prr)
-	}
-	if prr.ObjectiveP99NS != int64(500*time.Millisecond) {
-		t.Errorf("prr objective %d ns, want the default 500ms", prr.ObjectiveP99NS)
-	}
-	// Declared but idle endpoints still advertise their objective.
-	if ep, ok := got["explore"]; !ok || ep.Requests != 0 || !ep.Pass {
-		t.Errorf("idle explore standing %+v, want declared and vacuously passing", got["explore"])
-	}
-
-	// The Prometheus exposition carries the same rolling series.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	text, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{
-		`slo_window_requests{endpoint="prr"} 2`,
-		`slo_pass{endpoint="prr"} 1`,
-		`slo_objective_p99_seconds{endpoint="explore"} 30`,
-	} {
-		if !bytes.Contains(text, []byte(want)) {
-			t.Errorf("/metrics lacks %q", want)
+	text, _ := io.ReadAll(resp.Body)
+	for _, ep := range endpointNames {
+		for _, series := range []string{
+			fmt.Sprintf(`service_requests_total{endpoint=%q} `, ep),
+			fmt.Sprintf(`service_request_seconds_count{endpoint=%q} `, ep),
+			fmt.Sprintf(`service_request_failures_total{endpoint=%q} %d`, ep, want[ep]),
+		} {
+			if !bytes.Contains(text, []byte(series)) {
+				t.Errorf("/metrics lacks %q", series)
+			}
 		}
 	}
 }
