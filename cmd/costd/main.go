@@ -27,8 +27,10 @@
 //
 // SIGINT/SIGTERM shut down gracefully: in-flight requests and exploration
 // and simulation streams drain within -grace, then stragglers are cancelled.
-// With -summary the per-run metric summary — including the service section
-// (requests, coalesced, cache hits, shed) — is written on exit.
+// With -summary the per-run metric summary — every registry series, the
+// serving counters (requests, coalesced, cache hits, shed) among them — is
+// written on exit, and -cpuprofile/-memprofile profiles cover the whole
+// serving run up to that point.
 package main
 
 import (
@@ -42,7 +44,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obscli"
-	"repro/internal/report"
 	"repro/internal/service"
 )
 
@@ -90,7 +91,6 @@ func main() {
 	}
 	accessErr := accessLog.Close()
 
-	sess.SummaryHook = func(sum *report.RunSummary) { sum.Service = srv.Stats() }
 	if err := sess.Finish("", map[string]string{
 		"addr":  *addr,
 		"cache": fmt.Sprint(*cache),

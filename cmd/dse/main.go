@@ -27,12 +27,9 @@
 // which misses are priced without being stored. -memo off disables it for
 // A/B measurement (the front is bit-identical either way).
 //
-// Observability: -metrics-addr serves Prometheus text at /metrics (plus
-// expvar, and pprof with -pprof), -trace-out writes nested spans as JSON
-// lines, -summary writes the machine-readable per-run metric summary, and
-// -hold keeps the metrics server up after the run for scraping. -cpuprofile
-// and -memprofile write pprof profiles covering the exploration itself,
-// for feeding `go tool pprof` without a live server.
+// Observability: -trace-out writes nested spans as JSON lines, -summary
+// writes the machine-readable per-run metric summary, and -cpuprofile and
+// -memprofile write pprof profiles of the run for `go tool pprof`.
 package main
 
 import (
@@ -41,8 +38,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -63,26 +58,8 @@ func main() {
 	dupShapes := flag.Int("dup", 0, "with -n: use the duplicate-heavy workload with this many distinct shapes (symmetry stress mode)")
 	symmetry := flag.String("symmetry", "auto", "interchangeable-PRM collapse: auto or off")
 	memo := flag.String("memo", "auto", "composition-keyed group-pricing memo: auto or off")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the exploration to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after the exploration) to this file")
 	obsFlags := obscli.Register(flag.CommandLine)
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
 
 	sess, err := obsFlags.Start("dse")
 	if err != nil {
@@ -187,20 +164,6 @@ func main() {
 		Points: evaluated, ModelTime: modelTime, FlowTime: flowTime,
 		SpeedupFactor: flowSecs / modelTime.Seconds(),
 	})
-
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC() // settle the heap so the profile reflects retained memory
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
 
 	if err := sess.Finish(dev.Name, map[string]string{
 		"n": strconv.Itoa(len(prms)),

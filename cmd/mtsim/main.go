@@ -15,9 +15,9 @@
 // "coexplore-rank:" lines ranked by p99 waiting time. -json writes the
 // machine-readable repro/simrun/v1 report.
 //
-// Observability: -metrics-addr serves Prometheus text at /metrics (plus
-// expvar, and pprof with -pprof), -trace-out writes spans as JSON lines, and
-// -summary writes the per-run metric summary with the sim section attached.
+// Observability: -trace-out writes spans as JSON lines, -summary writes the
+// per-run metric summary, and -cpuprofile and -memprofile write pprof
+// profiles of the run.
 package main
 
 import (
@@ -132,11 +132,6 @@ func main() {
 		}
 	}
 
-	sess.SummaryHook = func(sum *report.RunSummary) {
-		if len(rep.Runs) > 0 {
-			sum.Sim = &rep.Runs[0]
-		}
-	}
 	if err := sess.Finish(dev.Name, rep.Params); err != nil {
 		fatal(err)
 	}

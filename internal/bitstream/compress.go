@@ -22,6 +22,11 @@ const (
 	// record costs 8 bytes; 3 repeated words cost 12 literal bytes).
 	runThreshold = 3
 	maxRecLen    = 0xFFFFFF
+	// maxDecodedWords bounds what Decompress materializes. It is above the
+	// full configuration of the largest device in the catalog (XC7K325T,
+	// about 2.4M words), so every partial bitstream decodes, while a forged
+	// stream of 8-byte run records cannot ask for gigabytes.
+	maxDecodedWords = 1 << 22
 )
 
 // Compress run-length encodes configuration words.
@@ -60,7 +65,7 @@ func Compress(words []uint32) []byte {
 	return out
 }
 
-// Decompress reverses Compress.
+// Decompress reverses Compress for streams of at most maxDecodedWords words.
 func Decompress(data []byte) ([]uint32, error) {
 	var words []uint32
 	for i := 0; i < len(data); {
@@ -69,6 +74,9 @@ func Decompress(data []byte) ([]uint32, error) {
 		}
 		kind := data[i]
 		n := int(data[i+1])<<16 | int(data[i+2])<<8 | int(data[i+3])
+		if len(words)+n > maxDecodedWords {
+			return nil, fmt.Errorf("bitstream: record at byte %d decodes past %d words", i, maxDecodedWords)
+		}
 		i += 4
 		switch kind {
 		case recLiteral:

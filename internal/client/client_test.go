@@ -381,7 +381,8 @@ func TestClientServiceSharedSpanTree(t *testing.T) {
 // TestClientExploreAbandon: a visitor returning false abandons the stream,
 // and the server-side engine observes the disconnect.
 func TestClientExploreAbandon(t *testing.T) {
-	s, c := newServicePair(t, service.Config{})
+	reg := obs.NewRegistry()
+	_, c := newServicePair(t, service.Config{Registry: reg})
 	c.MaxRetries = 0
 	_, err := c.Explore(context.Background(),
 		&api.ExploreRequest{Device: "XC6VLX75T", SyntheticN: 11},
@@ -390,7 +391,7 @@ func TestClientExploreAbandon(t *testing.T) {
 		t.Fatal("abandoned stream reported success")
 	}
 	deadline := time.Now().Add(time.Second)
-	for s.Stats().ExploreCancelled == 0 {
+	for reg.Counter("service_explore_cancelled_total", "").Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("server never accounted the abandoned stream")
 		}
@@ -430,7 +431,8 @@ func TestClientSimulateStream(t *testing.T) {
 // TestClientSimulateCoExplore: a co-exploration over the client returns the
 // ranked scores, and a visitor abandoning the stream cancels the server run.
 func TestClientSimulateCoExplore(t *testing.T) {
-	s, c := newServicePair(t, service.Config{})
+	reg := obs.NewRegistry()
+	_, c := newServicePair(t, service.Config{Registry: reg})
 	req := &api.SimulateRequest{
 		Device: "XC6VLX75T", SyntheticN: 4, CoExplore: true,
 		Policies: []string{"fcfs", "reconfig"},
@@ -460,7 +462,7 @@ func TestClientSimulateCoExplore(t *testing.T) {
 		t.Fatal("abandoned stream reported success")
 	}
 	deadline := time.Now().Add(time.Second)
-	for s.Stats().SimCancelled == 0 {
+	for reg.Counter("service_sim_cancelled_total", "").Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("server never accounted the abandoned sim stream")
 		}
@@ -474,7 +476,7 @@ func TestClientSimulateCoExplore(t *testing.T) {
 // it on service_sim_cancelled_total within a second.
 func TestClientSimulateContextCancelMidStream(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, c := newServicePair(t, service.Config{Registry: reg})
+	_, c := newServicePair(t, service.Config{Registry: reg})
 	c.MaxRetries = 0
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -502,7 +504,7 @@ func TestClientSimulateContextCancelMidStream(t *testing.T) {
 	deadline := time.Now().Add(time.Second)
 	for cancelled() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("service_sim_cancelled_total still 0 a second after hangup (stats: %+v)", s.Stats())
+			t.Fatal("service_sim_cancelled_total still 0 a second after hangup")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -104,9 +104,6 @@ func (h *Histogram) addSum(v float64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Seconds()) }
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state. Counts
 // has len(Bounds)+1 entries; the last is the overflow (+Inf) bucket.
 type HistogramSnapshot struct {
@@ -159,7 +156,7 @@ var active atomic.Bool
 // Active reports whether heavyweight instrumentation is enabled.
 func Active() bool { return active.Load() }
 
-// SetActive enables or disables heavyweight instrumentation. StartServer and
-// NewTracer enable it implicitly; commands writing run summaries enable it
+// SetActive enables or disables heavyweight instrumentation. NewTracer and
+// service.New enable it implicitly; commands writing run summaries enable it
 // before running.
 func SetActive(on bool) { active.Store(on) }

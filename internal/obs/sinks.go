@@ -9,9 +9,8 @@ import (
 	"time"
 )
 
-// RingSink keeps the most recent spans in a fixed ring. It is the default
-// sink for long-lived services: always on, bounded memory, inspectable on
-// demand.
+// RingSink keeps the most recent spans in a fixed ring, in bounded memory.
+// Only tests use it, to inspect the spans a run recorded.
 type RingSink struct {
 	mu   sync.Mutex
 	buf  []SpanRecord

@@ -1,6 +1,6 @@
 // Package obscli wires the observability layer into commands: the shared
-// -metrics-addr/-trace-out/-pprof/-summary/-hold flags, debug-server and
-// trace-sink lifecycle, and the per-run JSON summary. It exists so the
+// -trace-out/-summary/-cpuprofile/-memprofile flags, the trace sink's and
+// the profiles' lifecycle, and the per-run JSON summary. It exists so the
 // commands expose identical observability surfaces without duplicating the
 // plumbing; internal/obs itself stays dependency-free.
 package obscli
@@ -10,6 +10,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/obs"
@@ -18,41 +20,33 @@ import (
 
 // Flags holds the observability command-line options.
 type Flags struct {
-	MetricsAddr string
-	TraceOut    string
-	Pprof       bool
-	SummaryOut  string
-	Hold        time.Duration
+	TraceOut   string
+	SummaryOut string
+	CPUProfile string
+	MemProfile string
 }
 
 // Register installs the observability flags on fs.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.MetricsAddr, "metrics-addr", "",
-		"serve /metrics and /debug/vars on this address (e.g. :8080 or :0; empty = off)")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
 		"write spans as JSON lines to this file (empty = off)")
-	fs.BoolVar(&f.Pprof, "pprof", false,
-		"also serve net/http/pprof under /debug/pprof on the metrics address")
 	fs.StringVar(&f.SummaryOut, "summary", "",
 		"write the machine-readable per-run summary JSON to this file (empty = off)")
-	fs.DurationVar(&f.Hold, "hold", 0,
-		"keep the metrics server up this long after the run (for scraping)")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "",
+		"write a CPU profile of the run to this file")
+	fs.StringVar(&f.MemProfile, "memprofile", "",
+		"write a heap profile (after the run) to this file")
 	return f
 }
 
 // Session is the running observability state for one command invocation.
 type Session struct {
-	tool   string
-	flags  *Flags
-	server *obs.Server
-	sink   *obs.JSONLSink
-	tracer *obs.Tracer
-
-	// SummaryHook, when set, runs against the run summary before it is
-	// written, so commands can attach sections (service stats) the registry
-	// alone cannot provide.
-	SummaryHook func(*report.RunSummary)
+	tool    string
+	flags   *Flags
+	sink    *obs.JSONLSink
+	tracer  *obs.Tracer
+	cpuFile *os.File
 }
 
 // Start brings up whatever the flags enable. Returns a usable (inert)
@@ -63,14 +57,6 @@ func (f *Flags) Start(tool string) (*Session, error) {
 		// Summaries should include the Active()-gated series too.
 		obs.SetActive(true)
 	}
-	if f.MetricsAddr != "" {
-		srv, err := obs.StartServer(f.MetricsAddr, obs.Default(), f.Pprof)
-		if err != nil {
-			return nil, fmt.Errorf("starting metrics server: %w", err)
-		}
-		s.server = srv
-		fmt.Fprintf(os.Stderr, "%s: metrics at %s/metrics\n", tool, srv.URL())
-	}
 	if f.TraceOut != "" {
 		file, err := os.Create(f.TraceOut)
 		if err != nil {
@@ -79,7 +65,28 @@ func (f *Flags) Start(tool string) (*Session, error) {
 		s.sink = obs.NewJSONLSink(file)
 		s.tracer = obs.NewTracer(s.sink)
 	}
+	if f.CPUProfile != "" {
+		if err := s.startCPUProfile(f.CPUProfile); err != nil {
+			if s.sink != nil {
+				_ = s.sink.Close() // the start-up error is the one to report
+			}
+			return nil, err
+		}
+	}
 	return s, nil
+}
+
+func (s *Session) startCPUProfile(path string) error {
+	file, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("creating CPU profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(file); err != nil {
+		file.Close()
+		return fmt.Errorf("starting CPU profile: %w", err)
+	}
+	s.cpuFile = file
+	return nil
 }
 
 // Tracer returns the session's tracer, or nil when -trace-out is off.
@@ -94,41 +101,49 @@ func (s *Session) Context(ctx context.Context) context.Context {
 	return obs.WithTracer(ctx, s.tracer)
 }
 
-// Finish writes the run summary, holds the metrics server open if requested,
+// Finish stops the CPU profile, writes the heap profile and the run summary,
 // and releases every resource. Call it once, after the run's work is done.
 func (s *Session) Finish(device string, params map[string]string) error {
 	var firstErr error
+	if s.cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := s.cpuFile.Close(); err != nil {
+			firstErr = fmt.Errorf("closing CPU profile: %w", err)
+		}
+	}
+	if s.flags.MemProfile != "" {
+		if err := writeHeapProfile(s.flags.MemProfile); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("writing heap profile: %w", err)
+		}
+	}
 	if s.flags.SummaryOut != "" {
 		sum := report.NewRunSummary(s.tool, obs.Default())
 		sum.Device = device
 		sum.Params = params
 		sum.UnixNano = time.Now().UnixNano()
-		if s.SummaryHook != nil {
-			s.SummaryHook(sum)
-		}
-		if err := sum.WriteFile(s.flags.SummaryOut); err != nil {
+		if err := sum.WriteFile(s.flags.SummaryOut); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("writing run summary: %w", err)
-		} else {
+		} else if err == nil {
 			fmt.Fprintf(os.Stderr, "%s: run summary written to %s\n", s.tool, s.flags.SummaryOut)
 		}
-	}
-	if s.server != nil && s.flags.Hold > 0 {
-		fmt.Fprintf(os.Stderr, "%s: holding metrics server for %v\n", s.tool, s.flags.Hold)
-		time.Sleep(s.flags.Hold)
 	}
 	if s.sink != nil {
 		if err := s.sink.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("closing trace file: %w", err)
 		}
 	}
-	if s.server != nil {
-		// Drain rather than abort: a scraper that connected during -hold
-		// keeps its in-flight response.
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := s.server.Shutdown(ctx); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("closing metrics server: %w", err)
-		}
-	}
 	return firstErr
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the heap so the profile reflects retained memory
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

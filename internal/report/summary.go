@@ -27,67 +27,8 @@ type RunSummary struct {
 	UnixNano int64 `json:"unix_nano,omitempty"`
 	// Params records the command-line shape of the run (flag name → value).
 	Params map[string]string `json:"params,omitempty"`
-	// Service summarizes a serving run (costd -summary); nil for the batch
-	// tools. Additive within repro/run-summary/v1: old readers ignore it.
-	Service *ServiceSummary `json:"service,omitempty"`
-	// Sim summarizes a multitasking simulation (mtsim); nil for other
-	// tools. Additive within repro/run-summary/v1.
-	Sim *SimSummary `json:"sim,omitempty"`
 	// Metrics is every registry series, sorted by name then labels.
 	Metrics []SummaryMetric `json:"metrics"`
-}
-
-// ServiceSummary is the serving-layer rollup: how much traffic the cost-model
-// service handled and how much work coalescing, caching and admission control
-// saved or shed.
-type ServiceSummary struct {
-	// Requests counts every admitted API request across endpoints.
-	Requests int64 `json:"requests"`
-	// Coalesced counts requests that piggybacked on an identical in-flight
-	// evaluation instead of computing (singleflight followers).
-	Coalesced int64 `json:"coalesced"`
-	// CacheHits / CacheMisses are response-cache lookups.
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	// CacheEvictions counts LRU evictions under the cache's entry bound.
-	CacheEvictions int64 `json:"cache_evictions"`
-	// Shed counts requests rejected by admission control (429s).
-	Shed int64 `json:"shed"`
-	// ExploreStreams / ExploreCancelled count NDJSON exploration streams
-	// opened and the subset aborted by client disconnect or shutdown.
-	ExploreStreams   int64 `json:"explore_streams"`
-	ExploreCancelled int64 `json:"explore_cancelled"`
-	// SimStreams / SimCancelled are the same pair for simulation streams.
-	// Additive: summaries from older runs simply omit them.
-	SimStreams   int64 `json:"sim_streams,omitempty"`
-	SimCancelled int64 `json:"sim_cancelled,omitempty"`
-}
-
-// Validate checks the rollup's internal consistency.
-func (s *ServiceSummary) Validate() error {
-	for _, v := range []struct {
-		name string
-		val  int64
-	}{
-		{"requests", s.Requests}, {"coalesced", s.Coalesced},
-		{"cache_hits", s.CacheHits}, {"cache_misses", s.CacheMisses},
-		{"cache_evictions", s.CacheEvictions}, {"shed", s.Shed},
-		{"explore_streams", s.ExploreStreams}, {"explore_cancelled", s.ExploreCancelled},
-		{"sim_streams", s.SimStreams}, {"sim_cancelled", s.SimCancelled},
-	} {
-		if v.val < 0 {
-			return fmt.Errorf("report: service %s = %d is negative", v.name, v.val)
-		}
-	}
-	if s.ExploreCancelled > s.ExploreStreams {
-		return fmt.Errorf("report: service cancelled %d streams but only %d opened",
-			s.ExploreCancelled, s.ExploreStreams)
-	}
-	if s.SimCancelled > s.SimStreams {
-		return fmt.Errorf("report: service cancelled %d sim streams but only %d opened",
-			s.SimCancelled, s.SimStreams)
-	}
-	return nil
 }
 
 // SummaryMetric is one metric series in the summary.
@@ -192,16 +133,6 @@ func ReadRunSummary(r io.Reader) (*RunSummary, error) {
 	}
 	if s.Schema != RunSummarySchema {
 		return nil, fmt.Errorf("report: unknown run-summary schema %q", s.Schema)
-	}
-	if s.Service != nil {
-		if err := s.Service.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if s.Sim != nil {
-		if err := s.Sim.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	for _, m := range s.Metrics {
 		if m.Histogram != nil {

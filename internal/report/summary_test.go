@@ -163,63 +163,6 @@ func TestHistogramJSONValidate(t *testing.T) {
 	}
 }
 
-// TestServiceSummaryRoundTrip: the service section survives encode/decode
-// and old summaries (no section) still read back with a nil Service.
-func TestServiceSummaryRoundTrip(t *testing.T) {
-	orig := goldenSummary()
-	orig.Tool = "costd"
-	orig.Service = &ServiceSummary{
-		Requests: 1000, Coalesced: 120, CacheHits: 700, CacheMisses: 300,
-		CacheEvictions: 40, Shed: 17, ExploreStreams: 5, ExploreCancelled: 2,
-	}
-	var buf bytes.Buffer
-	if err := orig.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"service"`) {
-		t.Fatal("service section missing from encoded summary")
-	}
-	got, err := ReadRunSummary(&buf)
-	if err != nil {
-		t.Fatalf("ReadRunSummary: %v", err)
-	}
-	if !reflect.DeepEqual(got.Service, orig.Service) {
-		t.Errorf("service section changed: got %+v want %+v", got.Service, orig.Service)
-	}
-
-	var plain bytes.Buffer
-	if err := goldenSummary().WriteJSON(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plain.String(), `"service"`) {
-		t.Error("batch summary encoded a service section")
-	}
-	back, err := ReadRunSummary(&plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Service != nil {
-		t.Error("batch summary decoded a non-nil service section")
-	}
-}
-
-// TestServiceSummaryValidate rejects impossible rollups.
-func TestServiceSummaryValidate(t *testing.T) {
-	if err := (&ServiceSummary{Requests: 5, CacheHits: 3}).Validate(); err != nil {
-		t.Errorf("valid rollup rejected: %v", err)
-	}
-	if err := (&ServiceSummary{Requests: -1}).Validate(); err == nil {
-		t.Error("negative requests accepted")
-	}
-	if err := (&ServiceSummary{ExploreStreams: 1, ExploreCancelled: 2}).Validate(); err == nil {
-		t.Error("more cancellations than streams accepted")
-	}
-	bad := `{"schema":"` + RunSummarySchema + `","tool":"costd","service":{"requests":-3},"metrics":[]}`
-	if _, err := ReadRunSummary(strings.NewReader(bad)); err == nil {
-		t.Error("summary with invalid service section accepted")
-	}
-}
-
 func TestReadRunSummaryRejectsBadInput(t *testing.T) {
 	if _, err := ReadRunSummary(strings.NewReader(`{"schema":"other/v9"}`)); err == nil {
 		t.Error("unknown schema accepted")

@@ -1,13 +1,10 @@
 package service
 
-import (
-	"repro/internal/obs"
-	"repro/internal/report"
-)
+import "repro/internal/obs"
 
 // serviceMetrics is the serving layer's observability surface, registered on
 // the process registry so costd's /metrics shows engine and serving counters
-// side by side. Per-endpoint series are labeled; the Stats rollup sums them.
+// side by side. Per-endpoint series are labeled.
 type serviceMetrics struct {
 	requests map[string]*obs.Counter
 	failures map[string]*obs.Counter
@@ -68,7 +65,7 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	}
 	for _, ep := range endpointNames {
 		m.requests[ep] = reg.Counter("service_requests_total",
-			"admitted API requests per endpoint", obs.L("endpoint", ep))
+			"API requests per endpoint, shed ones included", obs.L("endpoint", ep))
 		m.failures[ep] = reg.Counter("service_request_failures_total",
 			"requests per endpoint answered 5xx or 429, shed and drain-refused ones included",
 			obs.L("endpoint", ep))
@@ -76,23 +73,4 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 			"request latency per endpoint", obs.LatencyBuckets, obs.L("endpoint", ep))
 	}
 	return m
-}
-
-// Summary rolls the serving counters into the run-summary service section.
-func (m *serviceMetrics) Summary() *report.ServiceSummary {
-	s := &report.ServiceSummary{
-		Coalesced:        m.coalesced.Value(),
-		CacheHits:        m.cacheHits.Value(),
-		CacheMisses:      m.cacheMisses.Value(),
-		CacheEvictions:   m.cacheEvictions.Value(),
-		Shed:             m.shedInflight.Value(),
-		ExploreStreams:   m.exploreStreams.Value(),
-		ExploreCancelled: m.exploreCancelled.Value(),
-		SimStreams:       m.simStreams.Value(),
-		SimCancelled:     m.simCancelled.Value(),
-	}
-	for _, c := range m.requests {
-		s.Requests += c.Value()
-	}
-	return s
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/icap"
 	"repro/internal/obs"
-	"repro/internal/report"
 )
 
 // Config tunes the serving layer. The zero value serves with sane defaults;
@@ -240,9 +239,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Stats rolls the serving metrics into the run-summary service section.
-func (s *Server) Stats() *report.ServiceSummary { return s.met.Summary() }
-
 // reqInfo is the annotation channel between the middleware and the handlers
 // it wraps: handlers record the canonical request key and drain refusals,
 // the deferred access-log write reads them.
@@ -300,9 +296,10 @@ func (c *countingWriter) status() int {
 }
 
 // wrap applies request tracing, admission control, accounting and access
-// logging around a handler. A request fails — and counts in
-// service_request_failures_total — when it is answered 5xx or 429, shed and
-// drain-refused requests included. The trace ID — extracted from a W3C
+// logging around a handler. Every request, shed ones included, counts once in
+// service_requests_total and service_request_seconds; it fails — and counts
+// in service_request_failures_total — when it is answered 5xx or 429, shed
+// and drain-refused requests included. The trace ID — extracted from a W3C
 // traceparent header when the caller sent one, minted otherwise — is echoed
 // as X-Request-ID on every response, including sheds and drain refusals, so
 // a rejected client can still quote a correlatable ID. Liveness (/healthz)
@@ -327,9 +324,11 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 
 		rec := &countingWriter{ResponseWriter: w}
 		rec.Header().Set("X-Request-ID", tc.TraceID)
+		s.met.requests[endpoint].Inc()
 		t0 := time.Now()
 		defer func() {
 			dur := time.Since(t0)
+			s.met.latency[endpoint].Observe(dur.Seconds())
 			status := rec.status()
 			if status >= http.StatusInternalServerError || status == http.StatusTooManyRequests {
 				s.met.failures[endpoint].Inc()
@@ -361,11 +360,9 @@ func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			s.met.inflight.Add(1)
 			defer s.met.inflight.Add(-1)
 		}
-		s.met.requests[endpoint].Inc()
 		ctx, span := obs.StartSpan(ctx, "service."+endpoint)
 		defer span.End()
 		h(rec, r.WithContext(ctx))
-		s.met.latency[endpoint].ObserveSince(t0)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/dse"
 	"repro/internal/icap"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/service/api"
 )
 
@@ -243,7 +244,9 @@ func TestCoalescingKToOne(t *testing.T) {
 	const k = 8
 	gate := make(chan struct{})
 	var evals atomic.Int64
+	reg := obs.NewRegistry()
 	s, ts := newTestServer(t, Config{
+		Registry: reg,
 		evalHook: func(string) {
 			evals.Add(1)
 			<-gate
@@ -281,10 +284,10 @@ func TestCoalescingKToOne(t *testing.T) {
 	if got := s.met.coalesced.Value(); got != k-1 {
 		t.Errorf("coalesced %d requests, want %d", got, k-1)
 	}
-	// The run summary's service section, which costd -summary writes, reports
+	// The registry series that costd's /metrics and -summary read reports
 	// the same count.
-	if got := s.Stats().Coalesced; got != k-1 {
-		t.Errorf("summary reports %d coalesced requests, want %d", got, k-1)
+	if got := reg.Counter("service_coalesced_total", "").Value(); got != k-1 {
+		t.Errorf("service_coalesced_total = %d, want %d", got, k-1)
 	}
 	for i := 1; i < k; i++ {
 		if !bytes.Equal(bodies[i], bodies[0]) {
@@ -907,14 +910,26 @@ func TestRequestFailuresCounted(t *testing.T) {
 	}
 	expect("drain refusal", "/v1/explore", `{"device":"XC6VLX75T","synthetic_n":3}`, http.StatusServiceUnavailable)
 
-	// The counter moves before the access-log write in the same deferred
+	// The counters move before the access-log write in the same deferred
 	// call, so six logged lines mean every request has been accounted.
 	waitLines(t, al, 6)
 	want := map[string]int64{"prr": 1, "simulate": 1, "explore": 1}
 	for _, ep := range endpointNames {
-		if got := s.met.failures[ep].Value(); got != want[ep] {
-			t.Errorf("failures{endpoint=%q} = %d, want %d", ep, got, want[ep])
+		failures := s.met.failures[ep].Value()
+		if failures != want[ep] {
+			t.Errorf("failures{endpoint=%q} = %d, want %d", ep, failures, want[ep])
 		}
+		// Every request, shed ones included, is counted and timed once, so
+		// failures / requests is a failure fraction.
+		requests, timed := s.met.requests[ep].Value(), s.met.latency[ep].Snapshot().Count
+		if requests != timed || requests < failures {
+			t.Errorf("endpoint %q: %d requests, %d timed, %d failures; want requests == timed >= failures",
+				ep, requests, timed, failures)
+		}
+	}
+	// prr saw the shed, the 400 and the 200.
+	if got := s.met.requests["prr"].Value(); got != 3 {
+		t.Errorf("requests{endpoint=\"prr\"} = %d, want 3", got)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -936,10 +951,11 @@ func TestRequestFailuresCounted(t *testing.T) {
 	}
 }
 
-// TestMetricsAndStats: /metrics exposes the serving series and Stats() rolls
-// them into the run-summary section.
+// TestMetricsAndStats: /metrics exposes the serving series, and the run
+// summary that costd -summary writes lists the same counters.
 func TestMetricsAndStats(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, Config{Registry: reg})
 	body := `{"device":"XC6VLX75T","prms":[{"req":{"luts":500,"ffs":400}}]}`
 	post(t, ts, "/v1/prr", body)
 	post(t, ts, "/v1/prr", body) // cache hit
@@ -959,11 +975,14 @@ func TestMetricsAndStats(t *testing.T) {
 		}
 	}
 
-	sum := s.Stats()
-	if err := sum.Validate(); err != nil {
-		t.Fatalf("Stats() invalid: %v", err)
+	got := map[string]int64{}
+	for _, m := range report.NewRunSummary("costd", reg).Metrics {
+		got[m.Name] += m.Value
 	}
-	if sum.Requests != 2 || sum.CacheHits != 1 || sum.CacheMisses != 1 {
-		t.Errorf("Stats() = %+v, want 2 requests, 1 hit, 1 miss", sum)
+	if got["service_requests_total"] != 2 || got["service_cache_hits_total"] != 1 ||
+		got["service_cache_misses_total"] != 1 {
+		t.Errorf("summary reads %d requests, %d hits, %d misses, want 2, 1, 1",
+			got["service_requests_total"], got["service_cache_hits_total"],
+			got["service_cache_misses_total"])
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -62,7 +63,8 @@ func (m Mix) Validate(nPRMs int) error {
 	return err
 }
 
-// check validates the mix and returns the class weights and their total.
+// check validates the mix and returns the class weights and their total;
+// uniform weights come back nil, with nPRMs as the total.
 func (m Mix) check(nPRMs int) ([]int, int, error) {
 	if nPRMs <= 0 {
 		return nil, 0, fmt.Errorf("sim: mix needs at least one PRM class")
@@ -87,10 +89,7 @@ func (m Mix) check(nPRMs int) ([]int, int, error) {
 	}
 	weights := m.Weights
 	if len(weights) == 0 {
-		weights = make([]int, nPRMs)
-		for i := range weights {
-			weights[i] = 1
-		}
+		return nil, nPRMs, nil // uniform: Generate draws the class directly
 	}
 	if len(weights) != nPRMs {
 		return nil, 0, fmt.Errorf("sim: %d weights for %d PRM classes", len(weights), nPRMs)
@@ -99,6 +98,9 @@ func (m Mix) check(nPRMs int) ([]int, int, error) {
 	for i, w := range weights {
 		if w < 0 {
 			return nil, 0, fmt.Errorf("sim: negative weight for PRM class %d", i)
+		}
+		if w > math.MaxInt-total {
+			return nil, 0, fmt.Errorf("sim: PRM-class weights sum past %d", math.MaxInt)
 		}
 		total += w
 	}
@@ -142,11 +144,14 @@ func (m Mix) Generate(nPRMs int) ([]Job, error) {
 	jobs := make([]Job, m.Jobs)
 	var t time.Duration
 	for i := range jobs {
-		pick := int(next() % uint64(total))
-		prm := 0
-		for pick >= weights[prm] {
-			pick -= weights[prm]
-			prm++
+		prm := int(next() % uint64(total))
+		if weights != nil {
+			pick := prm
+			prm = 0
+			for pick >= weights[prm] {
+				pick -= weights[prm]
+				prm++
+			}
 		}
 		exec := meanExec * time.Duration(4+next()%13) / 8
 		if exec <= 0 {
