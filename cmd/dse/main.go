@@ -36,7 +36,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"time"
@@ -151,17 +150,12 @@ func main() {
 	for _, p := range prms {
 		flowPerPoint += dse.ISE124.FullFlow(p.Req.LUTFFPairs*2, synth.Report{LUTFFPairs: p.Req.LUTFFPairs})
 	}
-	// Millions of points times hours of flow overflows a Duration's int64
-	// nanoseconds; compute the total in float seconds and saturate the
-	// printable Duration.
+	// Millions of points times hours of flow overflow a Duration's int64
+	// nanoseconds, so the total is float seconds.
 	evaluated := int(stats.Evaluated)
 	flowSecs := flowPerPoint.Seconds() * float64(evaluated)
-	flowTime := time.Duration(math.MaxInt64)
-	if flowSecs < float64(math.MaxInt64)/float64(time.Second) {
-		flowTime = time.Duration(flowSecs * float64(time.Second))
-	}
 	fmt.Printf("\n%v\n", dse.Productivity{
-		Points: evaluated, ModelTime: modelTime, FlowTime: flowTime,
+		Points: evaluated, ModelTime: modelTime, FlowSeconds: flowSecs,
 		SpeedupFactor: flowSecs / modelTime.Seconds(),
 	})
 

@@ -241,6 +241,21 @@ func TestToolTimeCalibration(t *testing.T) {
 	}
 }
 
+// TestProductivityString: the flow total prints in hours, also past the
+// 292 years at which a Duration's int64 nanoseconds overflow. 13.6M design
+// points of 20 PRMs at 5.5 tool minutes each is 2.5e7 hours.
+func TestProductivityString(t *testing.T) {
+	p := Productivity{Points: 13_600_000, ModelTime: 7 * time.Second,
+		FlowSeconds: 13_600_000 * 20 * 330, SpeedupFactor: 1.28e10}
+	if years := p.FlowSeconds / (365.25 * 24 * 3600); years < 292 {
+		t.Fatalf("flow total %.0f years does not pass a Duration's range", years)
+	}
+	const want = "13600000 design points: cost models 7s vs full flow ~24933333.3h (12800000000x)"
+	if got := p.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
 // TestProductivityMeasurement: evaluating every partition with the models is
 // at least three orders of magnitude faster than the estimated vendor flow.
 func TestProductivityMeasurement(t *testing.T) {
@@ -263,6 +278,6 @@ func TestProductivityMeasurement(t *testing.T) {
 			speedup, modelTime, flowTime)
 	}
 	t.Logf("productivity: %v", Productivity{
-		Points: len(points), ModelTime: modelTime, FlowTime: flowTime, SpeedupFactor: speedup,
+		Points: len(points), ModelTime: modelTime, FlowSeconds: flowTime.Seconds(), SpeedupFactor: speedup,
 	})
 }

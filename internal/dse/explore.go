@@ -263,14 +263,17 @@ func Describe(prms []PRM, dp DesignPoint) string {
 // measured model time for evaluating all points versus the tool-time model's
 // estimate of implementing each PRM once per design point.
 type Productivity struct {
-	Points        int
-	ModelTime     time.Duration // measured
-	FlowTime      time.Duration // estimated via ToolTimeModel
+	Points    int
+	ModelTime time.Duration // measured
+	// FlowSeconds is estimated via ToolTimeModel. It is float seconds
+	// because millions of points times hours of flow overflow a Duration's
+	// int64 nanoseconds (about 292 years).
+	FlowSeconds   float64
 	SpeedupFactor float64
 }
 
-// String renders the productivity summary.
+// String renders the productivity summary, the flow total in hours.
 func (p Productivity) String() string {
-	return fmt.Sprintf("%d design points: cost models %v vs full flow ~%v (%.0fx)",
-		p.Points, p.ModelTime, p.FlowTime, p.SpeedupFactor)
+	return fmt.Sprintf("%d design points: cost models %v vs full flow ~%.1fh (%.0fx)",
+		p.Points, p.ModelTime, p.FlowSeconds/3600, p.SpeedupFactor)
 }

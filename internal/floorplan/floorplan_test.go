@@ -159,9 +159,6 @@ func TestPlaceAll(t *testing.T) {
 		{Name: "mips", H: 1, Need: Need{CLB: 17, DSP: 1, BRAM: 2}},
 		{Name: "sdram", H: 1, Need: Need{CLB: 3}},
 	}
-	if err := ValidateRequests(reqs); err != nil {
-		t.Fatal(err)
-	}
 	plan, err := p.PlaceAll(reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -210,21 +207,31 @@ func TestPlaceAllReserved(t *testing.T) {
 	}
 }
 
-func TestValidateRequests(t *testing.T) {
-	if err := ValidateRequests([]Request{{Name: "", H: 1, Need: Need{CLB: 1}}}); err == nil {
-		t.Error("empty name accepted")
+// TestPlaceAllSameNames: requests that share a name are distinct PRRs. Each
+// gets its own region, disjoint from the other's, at its own index.
+func TestPlaceAllSameNames(t *testing.T) {
+	p := NewPlacer(&device.XC5VLX110T.Fabric)
+	reqs := []Request{
+		{Name: "slot", H: 2, Need: Need{CLB: 3}},
+		{Name: "slot", H: 1, Need: Need{CLB: 5}},
 	}
-	if err := ValidateRequests([]Request{
-		{Name: "a", H: 1, Need: Need{CLB: 1}},
-		{Name: "a", H: 1, Need: Need{CLB: 1}},
-	}); err == nil {
-		t.Error("duplicate names accepted")
+	plan, err := p.PlaceAll(reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := ValidateRequests([]Request{{Name: "a", H: 1}}); err == nil {
-		t.Error("empty need accepted")
+	if len(plan.Placements) != len(reqs) {
+		t.Fatalf("placed %d regions, want %d", len(plan.Placements), len(reqs))
 	}
-	if err := ValidateRequests([]Request{{Name: "a", H: 0, Need: Need{CLB: 1}}}); err == nil {
-		t.Error("zero height accepted")
+	for i, pl := range plan.Placements {
+		if pl.Request != reqs[i] {
+			t.Errorf("placement %d is for %+v, want %+v", i, pl.Request, reqs[i])
+		}
+		if pl.Region.H != reqs[i].H {
+			t.Errorf("placement %d region %v, want %d rows", i, pl.Region, reqs[i].H)
+		}
+	}
+	if a, b := plan.Placements[0].Region, plan.Placements[1].Region; a.Overlaps(b) {
+		t.Errorf("same-named placements overlap: %v vs %v", a, b)
 	}
 }
 

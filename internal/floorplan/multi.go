@@ -44,27 +44,19 @@ func (p *Placer) PlaceAll(reqs []Request) (*Plan, error) {
 		order[i], order[best] = order[best], order[i]
 	}
 
-	plan := &Plan{}
+	// Placements are stored at their request's index, so the plan lists
+	// them in request order whatever the names.
+	plan := &Plan{Placements: make([]Placement, len(reqs))}
 	placed := append([]Region(nil), p.Reserved...)
-	for _, idx := range order {
+	for n, idx := range order {
 		req := reqs[idx]
 		reg, ok := FindWindow(p.Fabric, req.H, req.Need, placed...)
 		if !ok {
 			return nil, fmt.Errorf("floorplan: no feasible region for PRR %q needing %dx%v after placing %d region(s)",
-				req.Name, req.H, req.Need, len(plan.Placements))
+				req.Name, req.H, req.Need, n)
 		}
 		placed = append(placed, reg)
-		plan.Placements = append(plan.Placements, Placement{Request: req, Region: reg})
+		plan.Placements[idx] = Placement{Request: req, Region: reg}
 	}
-	// Restore request order in the result.
-	byName := make(map[string]Placement, len(plan.Placements))
-	for _, pl := range plan.Placements {
-		byName[pl.Name] = pl
-	}
-	ordered := make([]Placement, 0, len(reqs))
-	for _, r := range reqs {
-		ordered = append(ordered, byName[r.Name])
-	}
-	plan.Placements = ordered
 	return plan, nil
 }

@@ -1,10 +1,6 @@
 package floorplan
 
-import (
-	"fmt"
-
-	"repro/internal/device"
-)
+import "repro/internal/device"
 
 // Placer places PRRs on one fabric. Reserved regions (typically the static
 // region's floorplan) are never overlapped.
@@ -16,26 +12,4 @@ type Placer struct {
 // NewPlacer returns a placer for the fabric with optional reserved regions.
 func NewPlacer(f *device.Fabric, reserved ...Region) *Placer {
 	return &Placer{Fabric: f, Reserved: reserved}
-}
-
-// ValidateRequests checks request names are unique and needs non-empty, the
-// preconditions PlaceAll assumes.
-func ValidateRequests(reqs []Request) error {
-	seen := make(map[string]bool, len(reqs))
-	for _, r := range reqs {
-		if r.Name == "" {
-			return fmt.Errorf("floorplan: request with empty name")
-		}
-		if seen[r.Name] {
-			return fmt.Errorf("floorplan: duplicate request name %q", r.Name)
-		}
-		seen[r.Name] = true
-		if r.Need.Width() == 0 {
-			return fmt.Errorf("floorplan: request %q needs no columns", r.Name)
-		}
-		if r.H < 1 {
-			return fmt.Errorf("floorplan: request %q has H=%d", r.Name, r.H)
-		}
-	}
-	return nil
 }

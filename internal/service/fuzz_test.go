@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -90,6 +92,36 @@ func FuzzRequestDecoders(f *testing.F) {
 			if w := sr.Options.Workers; w < 0 || w > api.MaxExploreWorkers {
 				t.Fatalf("accepted a simulation on %d workers", w)
 			}
+		}
+	})
+}
+
+// FuzzSnapshotLine: for any snapshot with a finite icap_busy, the line
+// appendSnapshotLine writes is byte for byte the line json.Encoder writes
+// for the same snapshot event. The seeds cover an omitted org and policy,
+// every float format switch, negative zero, and policy strings that need
+// HTML, control, U+2028 and invalid UTF-8 escapes.
+func FuzzSnapshotLine(f *testing.F) {
+	f.Add(0, "", 0, int64(0), 0, 0, 0, 0, int64(0), int64(0), 0.0, int64(0))
+	f.Add(3, "reconfig", 7, int64(19232840), 48, 24, 24, 1, int64(19), int64(2), 0.5106026983014469, int64(9249672))
+	f.Add(-1, "a<b>&\"c\"\\", -5, int64(-1), -2, 3, 4, 5, int64(-6), int64(7), 1e-7, int64(-8))
+	f.Add(1, "\x00\x1f\b\f\n\r\t\x7f", 0, int64(0), 0, 0, 0, 0, int64(0), int64(0), 1e21, int64(0))
+	f.Add(2, "  \xff\xfe日本", 1, int64(1), 1, 1, 1, 1, int64(1), int64(1), math.Copysign(0, -1), int64(1))
+	f.Add(4, "fcfs", 1<<40, int64(math.MaxInt64), 9, 9, 9, 9, int64(math.MinInt64), int64(0), -123456.789e-12, int64(1))
+	f.Fuzz(func(t *testing.T, org int, policy string, seq int, nowNS int64, submitted, completed, ready, running int,
+		reconfigs, preemptions int64, icapBusy float64, meanWaitNS int64) {
+		if math.IsNaN(icapBusy) || math.IsInf(icapBusy, 0) {
+			return
+		}
+		s := api.SimSnapshot{Org: org, Policy: policy, Seq: seq, NowNS: nowNS, Submitted: submitted,
+			Completed: completed, Ready: ready, Running: running, Reconfigs: reconfigs,
+			Preemptions: preemptions, ICAPBusy: icapBusy, MeanWaitNS: meanWaitNS}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(api.SimEvent{Snapshot: &s}); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendSnapshotLine(nil, &s); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendSnapshotLine\n%s\njson.Encoder\n%s", got, want.Bytes())
 		}
 	})
 }

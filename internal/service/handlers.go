@@ -203,7 +203,9 @@ func (s *Server) drainable(streams, cancelled *obs.Counter, run func(ctx context
 // stream serves an NDJSON event stream. It admits the stream unless a drain
 // has begun (503), records key for the access log, and calls run under a
 // context that a client disconnect, a failed write or a forced shutdown
-// cancels. emit writes one event line. The first line, the terminal line
+// cancels. emit writes one event line: a []byte is a line encoded in full,
+// newline included, and is written as it is; any other event is encoded
+// with json.Encoder. The first line, the terminal line
 // and each line ev for which flushes(sent, ev) holds, sent counting lines
 // from 1, are flushed, so clients see liveness without a syscall per line.
 // run returns the terminal event: Done on success; on an engine error, the
@@ -239,7 +241,13 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, key string, flus
 		if ctx.Err() != nil {
 			return false
 		}
-		if enc.Encode(ev) != nil {
+		var err error
+		if line, ok := ev.([]byte); ok {
+			_, err = w.Write(line)
+		} else {
+			err = enc.Encode(ev)
+		}
+		if err != nil {
 			cancel() // the client is gone; stop the engine
 			return false
 		}

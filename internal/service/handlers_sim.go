@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/device"
 	"repro/internal/dse"
@@ -50,7 +53,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// score lines flush (the first and the terminal line always do).
 	flushes := func(int, any) bool { return true }
 	if req.CoExplore {
-		flushes = func(_ int, ev any) bool { return ev.(api.SimEvent).Score != nil }
+		flushes = func(_ int, ev any) bool {
+			sev, ok := ev.(api.SimEvent)
+			return ok && sev.Score != nil
+		}
 	}
 	s.stream(w, r, key, flushes, s.met.simStreams, s.met.simCancelled, func(ctx context.Context, emit func(any) bool) (any, error) {
 		done, err := s.runSimulate(ctx, dev, &req, specs, names, mix, emit)
@@ -65,7 +71,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // runSimulate executes the request — a single shared-platform run or a full
 // co-exploration — streaming events through emit (nil suppresses streaming)
-// and returning the terminal Done event.
+// and returning the terminal Done event. Snapshot events go to emit as
+// pre-encoded lines (appendSnapshotLine) in one buffer that each snapshot
+// reuses, so emit must write a line before it returns.
 func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.SimulateRequest,
 	specs []sim.Spec, names []string, mix sim.Mix, emit func(ev any) bool) (*api.SimDone, error) {
 
@@ -78,6 +86,12 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 	}
 	if emit == nil {
 		snapEvery = 0
+	}
+	var line []byte
+	emitSnapshot := func(org int, policy string, sn sim.Snapshot) bool {
+		ws := wireSnapshot(org, policy, sn)
+		line = appendSnapshotLine(line[:0], &ws)
+		return emit(line)
 	}
 
 	if req.CoExplore {
@@ -102,31 +116,29 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 		var snap func(org int, policy string, sn sim.Snapshot) bool
 		var score func(sim.OrgScore) bool
 		if emit != nil {
-			snap = func(org int, policy string, sn sim.Snapshot) bool {
-				return emit(api.SimEvent{Snapshot: wireSnapshot(org, policy, sn)})
-			}
+			snap = emitSnapshot
 			score = func(sc sim.OrgScore) bool {
 				return emit(api.SimEvent{Score: wireScore(names, sc)})
 			}
 		}
-		front, stats, err := s.coexploreFront(ctx, dev, req, specs, bb)
+		fv, err := s.coexploreFront(ctx, dev, req, specs, bb)
 		if err != nil {
 			return nil, err
 		}
-		scores, err := sim.ScoreFront(ctx, dev, specs, front, cfg, snap, score)
+		scores, err := sim.ScoreFront(ctx, fv.Platforms, specs, fv.Front, cfg, snap, score)
 		if err != nil {
 			return nil, err
 		}
 		done := &api.SimDone{
 			Scores:        make([]api.SimScore, len(scores)),
-			FrontSize:     len(front),
-			OrgsTruncated: len(front) > sim.DefaultMaxOrgs,
+			FrontSize:     len(fv.Front),
+			OrgsTruncated: len(fv.Front) > sim.DefaultMaxOrgs,
 		}
 		for i, sc := range scores {
 			done.Scores[i] = *wireScore(names, sc)
 		}
-		st := wireStats(stats)
-		st.FrontSize = len(front)
+		st := wireStats(fv.Stats)
+		st.FrontSize = len(fv.Front)
 		done.Stats = &st
 		return done, nil
 	}
@@ -149,9 +161,7 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 	}
 	var visit func(sim.Snapshot) bool
 	if emit != nil {
-		visit = func(sn sim.Snapshot) bool {
-			return emit(api.SimEvent{Snapshot: wireSnapshot(0, pol.Name(), sn)})
-		}
+		visit = func(sn sim.Snapshot) bool { return emitSnapshot(0, pol.Name(), sn) }
 	}
 	res, err := sim.Run(ctx, sim.Config{
 		Platform: plat, Policy: pol, Estimator: estimator, SnapshotEvery: snapEvery,
@@ -166,15 +176,24 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 	return done, nil
 }
 
-// coexploreFront returns a co-exploration's exact Pareto front and explorer
-// statistics through the response cache, so co-explorations of one module
-// set explore it once whatever their mix. The key keeps the PRMs in request
+// coexFront is a co-exploration's cached front: the exact Pareto front, the
+// platforms realizing its scored organizations (sim.BuildFront) and the
+// explorer statistics.
+type coexFront struct {
+	Front     []dse.DesignPoint
+	Platforms []sim.Platform
+	Stats     dse.BBStats
+}
+
+// coexploreFront returns a co-exploration's front through the response
+// cache, so co-explorations of one module set explore it and build its
+// platforms once whatever their mix. The key keeps the PRMs in request
 // order, unlike explore's canonical key: the mix draws PRMs by position, and
 // a front priced in another order may list its organizations differently.
 // Like drainable, the explore runs under the drain context, since coalesced
 // followers and later hits outlive the request that started it.
 func (s *Server) coexploreFront(ctx context.Context, dev *device.Device, req *api.SimulateRequest,
-	specs []sim.Spec, opts dse.BBOptions) ([]dse.DesignPoint, dse.BBStats, error) {
+	specs []sim.Spec, opts dse.BBOptions) (coexFront, error) {
 
 	ctx, span := obs.StartSpan(ctx, "service.coexplore_front")
 	defer span.End()
@@ -184,10 +203,6 @@ func (s *Server) coexploreFront(ctx context.Context, dev *device.Device, req *ap
 		SyntheticN int                `json:"synthetic_n,omitempty"`
 		Options    api.ExploreOptions `json:"options"`
 	}{dev.Name, req.PRMs, req.SyntheticN, req.Options})
-	type frontValue struct {
-		Front []dse.DesignPoint
-		Stats dse.BBStats
-	}
 	raw, hit, err := s.lookup("coexplore-front", key, func() ([]byte, error) {
 		// The leader's explore joins its trace under this span.
 		run := obs.ContextWithTrace(obs.WithTracer(s.drainCtx, obs.TracerFrom(ctx)), span.Context())
@@ -200,17 +215,19 @@ func (s *Server) coexploreFront(ctx context.Context, dev *device.Device, req *ap
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(frontValue{front, stats})
+		plats, err := sim.BuildFront(dev, specs, front)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(coexFront{front, plats, stats})
 	})
 	span.SetAttr("cache", cacheState(hit))
 	if err != nil {
-		return nil, dse.BBStats{}, err
+		return coexFront{}, err
 	}
-	var v frontValue
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, dse.BBStats{}, err
-	}
-	return v.Front, v.Stats, nil
+	var v coexFront
+	err = json.Unmarshal(raw, &v)
+	return v, err
 }
 
 // simSpecs resolves the request's module set (explicit PRMs or the
@@ -257,13 +274,122 @@ func simMix(req *api.SimulateRequest, nPRMs int) (sim.Mix, error) {
 	return m, nil
 }
 
-func wireSnapshot(org int, policy string, sn sim.Snapshot) *api.SimSnapshot {
-	return &api.SimSnapshot{
+func wireSnapshot(org int, policy string, sn sim.Snapshot) api.SimSnapshot {
+	return api.SimSnapshot{
 		Org: org, Policy: policy,
 		Seq: sn.Seq, NowNS: sn.NowNS, Submitted: sn.Submitted, Completed: sn.Completed,
 		Ready: sn.Ready, Running: sn.Running, Reconfigs: sn.Reconfigs,
 		Preemptions: sn.Preemptions, ICAPBusy: sn.ICAPBusy, MeanWaitNS: sn.MeanWaitNS,
 	}
+}
+
+// appendSnapshotLine appends the NDJSON line that json.Encoder writes for
+// api.SimEvent{Snapshot: s}, byte for byte (FuzzSnapshotLine), without
+// reflection: snapshots are most of a simulate stream's lines. s.ICAPBusy
+// must be finite, as the engine's always is.
+func appendSnapshotLine(b []byte, s *api.SimSnapshot) []byte {
+	b = append(b, `{"snapshot":{`...)
+	if s.Org != 0 {
+		b = append(b, `"org":`...)
+		b = strconv.AppendInt(b, int64(s.Org), 10)
+		b = append(b, ',')
+	}
+	if s.Policy != "" {
+		b = append(b, `"policy":`...)
+		b = appendJSONString(b, s.Policy)
+		b = append(b, ',')
+	}
+	b = append(b, `"seq":`...)
+	b = strconv.AppendInt(b, int64(s.Seq), 10)
+	b = append(b, `,"now_ns":`...)
+	b = strconv.AppendInt(b, s.NowNS, 10)
+	b = append(b, `,"submitted":`...)
+	b = strconv.AppendInt(b, int64(s.Submitted), 10)
+	b = append(b, `,"completed":`...)
+	b = strconv.AppendInt(b, int64(s.Completed), 10)
+	b = append(b, `,"ready":`...)
+	b = strconv.AppendInt(b, int64(s.Ready), 10)
+	b = append(b, `,"running":`...)
+	b = strconv.AppendInt(b, int64(s.Running), 10)
+	b = append(b, `,"reconfigs":`...)
+	b = strconv.AppendInt(b, s.Reconfigs, 10)
+	b = append(b, `,"preemptions":`...)
+	b = strconv.AppendInt(b, s.Preemptions, 10)
+	b = append(b, `,"icap_busy":`...)
+	b = appendJSONFloat(b, s.ICAPBusy)
+	b = append(b, `,"mean_wait_ns":`...)
+	b = strconv.AppendInt(b, s.MeanWaitNS, 10)
+	return append(b, "}}\n"...)
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: ES6 number
+// formatting, with an exponent only below 1e-6 or from 1e21 on, and no
+// zero padding in it.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 to e-7
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it with HTML
+// escaping on: <, > and & as \u escapes, control bytes as their short or
+// \u00XX escapes, invalid UTF-8 as \ufffd, and U+2028 and U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 func wireMetrics(res sim.Result) *api.SimMetrics {

@@ -77,23 +77,56 @@ func CoExplore(ctx context.Context, dev *device.Device, specs []Spec, cfg CoExpl
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	scores, err := ScoreFront(ctx, dev, specs, front, cfg, snap, score)
+	plats, err := BuildFront(dev, specs, front)
+	if err != nil {
+		return nil, front, stats, err
+	}
+	scores, err := ScoreFront(ctx, plats, specs, front, cfg, snap, score)
 	return scores, front, stats, err
 }
 
-// ScoreFront realizes each organization of an exact Pareto front of specs
-// (at most the first DefaultMaxOrgs, in front order) as a Platform and
-// scores it against one seeded job mix under each policy, fanning the
-// organization replays out over a worker pool (CoExploreConfig.Workers; the
-// BB field is unused). Scores come back ranked by (policy, p99 waiting
-// time, front order); because every run is deterministic and the ranked
-// order is a total key, a parallel sweep returns byte-identical scores to a
-// sequential one. snap (may be nil) streams progress snapshots labelled
+// scoredOrgs lists the front indexes a co-exploration scores, in front
+// order: the feasible points among the first DefaultMaxOrgs.
+func scoredOrgs(front []dse.DesignPoint) []int {
+	var orgs []int
+	for oi, dp := range front[:min(len(front), DefaultMaxOrgs)] {
+		if dp.Feasible { // defensive: the front only carries feasible points
+			orgs = append(orgs, oi)
+		}
+	}
+	return orgs
+}
+
+// BuildFront realizes the organizations of front that ScoreFront scores
+// (the feasible points among the first DefaultMaxOrgs, in front order) as
+// Platforms, one BuildGroups each. The platforms depend only on the device,
+// the specs and the front, so a caller that scores one front against many
+// mixes builds them once.
+func BuildFront(dev *device.Device, specs []Spec, front []dse.DesignPoint) ([]Platform, error) {
+	orgs := scoredOrgs(front)
+	plats := make([]Platform, len(orgs))
+	for i, oi := range orgs {
+		plat, err := BuildGroups(dev, specs, front[oi].Groups)
+		if err != nil {
+			return nil, fmt.Errorf("sim: realizing front organization %d: %w", oi, err)
+		}
+		plats[i] = plat
+	}
+	return plats, nil
+}
+
+// ScoreFront scores the organizations of an exact Pareto front of specs,
+// realized by BuildFront as plats, against one seeded job mix under each
+// policy, fanning the organization replays out over a worker pool
+// (CoExploreConfig.Workers; the BB field is unused). Scores come back
+// ranked by (policy, p99 waiting time, front order); because every run is
+// deterministic and the ranked order is a total key, a parallel sweep
+// returns byte-identical scores to a sequential one. snap (may be nil) streams progress snapshots labelled
 // with the organization and policy being simulated; score (may be nil)
 // fires after each finished run, in completion order under parallel
 // replay. Callbacks are never invoked concurrently. Either callback
 // returning false stops the sweep early with the scores accumulated so far.
-func ScoreFront(ctx context.Context, dev *device.Device, specs []Spec, front []dse.DesignPoint, cfg CoExploreConfig,
+func ScoreFront(ctx context.Context, plats []Platform, specs []Spec, front []dse.DesignPoint, cfg CoExploreConfig,
 	snap func(org int, policy string, s Snapshot) bool,
 	score func(OrgScore) bool) ([]OrgScore, error) {
 
@@ -112,15 +145,9 @@ func ScoreFront(ctx context.Context, dev *device.Device, specs []Spec, front []d
 		return nil, err
 	}
 
-	var orgs []int // front indexes to score, in front order
-	for oi, dp := range front {
-		if oi >= DefaultMaxOrgs {
-			break
-		}
-		if !dp.Feasible {
-			continue // defensive: the front only carries feasible points
-		}
-		orgs = append(orgs, oi)
+	orgs := scoredOrgs(front)
+	if len(plats) != len(orgs) {
+		return nil, fmt.Errorf("sim: %d platforms for %d front organizations", len(plats), len(orgs))
 	}
 	if len(orgs) == 0 {
 		return nil, nil
@@ -149,12 +176,12 @@ func ScoreFront(ctx context.Context, dev *device.Device, specs []Spec, front []d
 		wg      sync.WaitGroup
 	)
 
-	runOne := func(oi, pi int, plat Platform) {
+	runOne := func(oi, pi int) {
 		pair := &pairs[oi*k+pi]
 		dp := front[orgs[oi]]
 		pol := policies[pi]
 		run := Config{
-			Platform:      plat,
+			Platform:      plats[oi],
 			Policy:        pol,
 			Estimator:     est,
 			SnapshotEvery: cfg.SnapshotEvery,
@@ -204,8 +231,7 @@ func ScoreFront(ctx context.Context, dev *device.Device, specs []Spec, front []d
 
 	// Organization-granular dispatch (like the DSE engine's chunked worker
 	// pool, with chunk = one organization since each is k full replays):
-	// one worker claims an organization, builds its platform once and scores
-	// it under every policy.
+	// one worker claims an organization and scores it under every policy.
 	worker := func() {
 		defer wg.Done()
 		for {
@@ -213,18 +239,11 @@ func ScoreFront(ctx context.Context, dev *device.Device, specs []Spec, front []d
 			if oi >= len(orgs) || stopped.Load() || runCtx.Err() != nil {
 				return
 			}
-			plat, err := BuildGroups(dev, specs, front[orgs[oi]].Groups)
-			if err != nil {
-				pairs[oi*k].err = fmt.Errorf("sim: realizing front organization %d: %w", orgs[oi], err)
-				stopped.Store(true)
-				cancel()
-				return
-			}
 			for pi := 0; pi < k; pi++ {
 				if stopped.Load() {
 					return
 				}
-				runOne(oi, pi, plat)
+				runOne(oi, pi)
 			}
 		}
 	}

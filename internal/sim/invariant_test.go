@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 )
@@ -117,5 +118,86 @@ func checkPhysical(t *testing.T, where string, res Result) {
 	if icap != res.ICAPBusyNS || res.ICAPBusyNS > res.MakespanNS {
 		t.Errorf("%s: slots transfer %d ns, ICAP busy %d ns, makespan %d ns",
 			where, icap, res.ICAPBusyNS, res.MakespanNS)
+	}
+}
+
+// TestSelectNthMatchesSort: on random, sorted, reversed, constant and
+// organ-pipe ledgers with many repeated values, selectNth puts the sorted
+// order's k-th value at k, nothing larger before it and nothing smaller
+// after it, as engine.result's p99 and max waits need.
+func TestSelectNthMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.IntN(300)
+		s := make([]time.Duration, n)
+		spread := 1 + rng.IntN(2*n)
+		for i := range s {
+			switch trial % 5 {
+			case 0:
+				s[i] = time.Duration(rng.IntN(spread))
+			case 1:
+				s[i] = time.Duration(i / (1 + trial%3))
+			case 2:
+				s[i] = time.Duration(n - i)
+			case 3:
+				s[i] = 7
+			case 4:
+				s[i] = time.Duration(min(i, n-i))
+			}
+		}
+		sorted := slices.Clone(s)
+		slices.Sort(sorted)
+		k := rng.IntN(n)
+		if trial%2 == 0 {
+			k = min(n*99/100, n-1)
+		}
+		selectNth(s, k)
+		if s[k] != sorted[k] {
+			t.Fatalf("trial %d: s[%d] = %v, the sort has %v", trial, k, s[k], sorted[k])
+		}
+		if slices.Max(s[:k+1]) != s[k] || slices.Min(s[k:]) != s[k] {
+			t.Fatalf("trial %d: s[%d] = %v does not split %v", trial, k, s[k], s)
+		}
+		if got := slices.Max(s[k:]); got != sorted[n-1] {
+			t.Fatalf("trial %d: max after k %v, the sort's max %v", trial, got, sorted[n-1])
+		}
+		if slices.Sort(s); !slices.Equal(s, sorted) {
+			t.Fatalf("trial %d: selectNth changed the multiset", trial)
+		}
+	}
+}
+
+// TestResultWaitsMatchSort: on randomized mixes under every policy,
+// result's p99 and max waits are what a sort of the wait ledger gives, and
+// the ledger keeps its multiset.
+func TestResultWaitsMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	en := new(engine)
+	for trial := 0; trial < 60; trial++ {
+		mix := Mix{Jobs: 1 + rng.IntN(400), Seed: rng.Uint64() | 1,
+			Arrival:        []Arrival{ArrivalUniform, ArrivalBursty, ArrivalSimultaneous}[rng.IntN(3)],
+			MeanGap:        time.Duration(20+rng.IntN(400)) * time.Microsecond,
+			MeanExec:       time.Duration(100+rng.IntN(400)) * time.Microsecond,
+			PriorityLevels: 1 + rng.IntN(4)}
+		jobs, err := mix.Generate(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, _ := PolicyByName(PolicyNames()[trial%3])
+		en.reset(Config{Platform: sharedTestPlatform(1+rng.IntN(3), 3), Policy: pol, Estimator: nsPerByte(1)}, jobs)
+		if err := en.loop(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		sorted := slices.Clone(en.waits)
+		slices.Sort(sorted)
+		res := en.result()
+		idx := min(len(sorted)*99/100, len(sorted)-1)
+		if res.P99WaitNS != int64(sorted[idx]) || res.MaxWaitNS != int64(sorted[len(sorted)-1]) {
+			t.Fatalf("trial %d (%s, %+v): p99 %d max %d, the sorted ledger has %d and %d",
+				trial, pol.Name(), mix, res.P99WaitNS, res.MaxWaitNS, sorted[idx], sorted[len(sorted)-1])
+		}
+		if slices.Sort(en.waits); !slices.Equal(en.waits, sorted) {
+			t.Fatalf("trial %d: result changed the wait ledger's multiset", trial)
+		}
 	}
 }

@@ -315,7 +315,9 @@ func randomState(t *testing.T, rng *rand.Rand, en *engine) {
 
 // checkSetHeads recounts en's slot sets: two classes share a
 // set exactly when their Compat lists are equal, and each set's head and
-// length match the queue.
+// length match the queue. It also recounts fcfs's head, the first job in
+// queue order with the earliest (arrival, job ID), against en.fcfs(); that
+// forces the engine's head live, so the next enqueue and take update it.
 func checkSetHeads(t *testing.T, en *engine) {
 	t.Helper()
 	prms := en.cfg.Platform.PRMs
@@ -341,6 +343,15 @@ func checkSetHeads(t *testing.T, en *engine) {
 			t.Fatalf("slot set %d: head %d of %d jobs, the queue has head %d of %d\nready %+v",
 				s, h, en.setLen[s], head, n, q)
 		}
+	}
+	head := -1
+	for i, r := range q {
+		if head < 0 || r.Arrival < q[head].Arrival || r.Arrival == q[head].Arrival && r.Job < q[head].Job {
+			head = i
+		}
+	}
+	if h := en.fcfs(); h != head {
+		t.Fatalf("fcfs head %d, the queue has %d\nready %+v", h, head, q)
 	}
 }
 

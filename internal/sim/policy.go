@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -118,24 +118,16 @@ type FCFSBestFit struct{}
 // Name implements Policy.
 func (FCFSBestFit) Name() string { return "fcfs" }
 
-// Decide implements Policy.
+// Decide implements Policy. The head is engine state (see engine.fcfs),
+// kept as jobs enter and leave the queue. FCFSBestFit never preempts, so
+// with no slot idle it passes without looking at the queue.
 func (FCFSBestFit) Decide(v *View) (Action, bool) {
-	if len(v.Ready) == 0 {
+	if !slices.ContainsFunc(v.Slots, func(sv SlotView) bool { return sv.State == SlotIdle }) {
 		return Action{}, false
 	}
-	// Each priority level of Ready is in (arrival, job ID) order, so the
-	// earliest arrival heads its level: compare the level heads only,
-	// finding each next level by binary search.
-	head := 0
-	for i := 0; ; {
-		p := v.Ready[i].Priority
-		i += sort.Search(len(v.Ready)-i, func(k int) bool { return v.Ready[i+k].Priority < p })
-		if i == len(v.Ready) {
-			break
-		}
-		if r, h := &v.Ready[i], &v.Ready[head]; r.Arrival < h.Arrival || r.Arrival == h.Arrival && r.Job < h.Job {
-			head = i
-		}
+	head := v.en.fcfs()
+	if head < 0 {
+		return Action{}, false
 	}
 	r := v.Ready[head]
 	best, bestTiles, bestWarm := -1, 0, false

@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -193,6 +193,11 @@ type engine struct {
 	setOf   []int
 	setHead []int
 	setLen  []int
+	// fcfsHead is the View.Ready index of FCFSBestFit's head (see fcfs),
+	// -1 when the queue is empty. It is kept only while fcfsLive: taking
+	// the head makes it stale until fcfs recounts it.
+	fcfsHead int
+	fcfsLive bool
 
 	// per-slot transfer durations, precomputed from the estimator
 	loadDur    []time.Duration
@@ -215,7 +220,6 @@ type engine struct {
 	preemptions int64
 	makespan    time.Duration
 	waits       []time.Duration
-	waitsSorted bool
 	waitSum     time.Duration
 	respSum     time.Duration
 	snapSeq     int
@@ -254,6 +258,7 @@ func (en *engine) reset(cfg Config, jobs []Job) {
 	en.orderArrivals()
 	en.ready = en.ready[:0]
 	en.head = 0
+	en.fcfsHead, en.fcfsLive = -1, true
 	en.numberSets()
 	en.icapFreeAt = 0
 	en.icapBusy = 0
@@ -266,7 +271,6 @@ func (en *engine) reset(cfg Config, jobs []Job) {
 	en.preemptions = 0
 	en.makespan = 0
 	en.waits = en.waits[:0]
-	en.waitsSorted = false
 	en.waitSum = 0
 	en.respSum = 0
 	en.snapSeq = 0
@@ -538,32 +542,41 @@ func (en *engine) xfer(at time.Duration, dur time.Duration, slot int) time.Durat
 // enqueue inserts r into the ready queue after every job that sorts before
 // or level with it, so the queue stays in (priority desc, arrival, job ID)
 // order. Arrivals come in time order and mostly land at the tail of their
-// level.
+// level. Like take, an insert moves the shorter side of the queue: the part
+// before the insert point moves into the gap before the head when there is
+// one and that part is the shorter.
 func (en *engine) enqueue(r ReadyView) {
-	if len(en.ready) == cap(en.ready) && en.head > 0 {
-		// The tail has no room. Slide the queue to the front of its array,
-		// or move it to one twice the size when less than half of this one
-		// is free, so at least len(queue) inserts pass before the next move.
-		q := en.ready[en.head:]
-		buf := en.ready[:0]
-		if en.head < len(q) {
-			buf = make([]ReadyView, 0, 2*cap(en.ready))
-		}
-		en.ready = append(buf, q...)
-		en.head = 0
-	}
 	q := en.ready[en.head:]
-	i := sort.Search(len(q), func(i int) bool {
-		q := &q[i]
-		if q.Priority != r.Priority {
-			return q.Priority < r.Priority
+	lo, hi := 0, len(q)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e := &q[m]; e.Priority > r.Priority || e.Priority == r.Priority &&
+			(e.Arrival < r.Arrival || e.Arrival == r.Arrival && e.Job <= r.Job) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		if q.Arrival != r.Arrival {
-			return q.Arrival > r.Arrival
+	}
+	i := lo
+	if en.head > 0 && i < len(q)-i {
+		en.head--
+		copy(en.ready[en.head:], q[:i])
+		en.ready[en.head+i] = r
+	} else {
+		if len(en.ready) == cap(en.ready) && en.head > 0 {
+			// The tail has no room. Slide the queue to the front of its
+			// array, or move it to one twice the size when less than half
+			// of this one is free, so at least len(queue) inserts pass
+			// before the next move.
+			buf := en.ready[:0]
+			if en.head < len(q) {
+				buf = make([]ReadyView, 0, 2*cap(en.ready))
+			}
+			en.ready = append(buf, q...)
+			en.head = 0
 		}
-		return q.Job > r.Job
-	})
-	en.ready = slices.Insert(en.ready, en.head+i, r)
+		en.ready = slices.Insert(en.ready, en.head+i, r)
+	}
 	for s, h := range en.setHead {
 		if h >= i {
 			en.setHead[s] = h + 1
@@ -574,6 +587,18 @@ func (en *engine) enqueue(r ReadyView) {
 		en.setHead[set] = i
 	}
 	en.setLen[set]++
+	if en.fcfsLive {
+		h := en.fcfsHead
+		if h >= i {
+			h++
+		}
+		if h < 0 {
+			h = i
+		} else if hv := &en.ready[en.head+h]; fcfsBefore(&r, hv) || i < h && !fcfsBefore(hv, &r) {
+			h = i
+		}
+		en.fcfsHead = h
+	}
 }
 
 // take removes View.Ready[i] from the queue, moving the shorter side of it
@@ -600,6 +625,52 @@ func (en *engine) take(i int) {
 	if en.setLen[set]--; en.setHead[set] == i {
 		en.nextHead(set, i)
 	}
+	if en.fcfsLive {
+		switch h := en.fcfsHead; {
+		case h == i:
+			en.fcfsLive = false
+		case h > i:
+			en.fcfsHead = h - 1
+		}
+	}
+}
+
+// fcfs returns the View.Ready index of FCFSBestFit's head, the earliest
+// arrival with ties broken by job ID and then queue order, or -1 when the
+// queue is empty. enqueue and take keep it; only taking the head itself
+// leaves it to be recounted here. Each priority level of the queue is in
+// (arrival, job ID) order, so the recount compares the level heads only,
+// finding each next level by binary search.
+func (en *engine) fcfs() int {
+	if en.fcfsLive {
+		return en.fcfsHead
+	}
+	q := en.ready[en.head:]
+	head := -1
+	if len(q) > 0 {
+		head = 0
+	}
+	for i := 0; i < len(q); {
+		p := q[i].Priority
+		lo, hi := i+1, len(q)
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); q[m].Priority < p {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		if i = lo; i < len(q) && fcfsBefore(&q[i], &q[head]) {
+			head = i
+		}
+	}
+	en.fcfsHead, en.fcfsLive = head, true
+	return head
+}
+
+// fcfsBefore reports whether a arrived before b, ties broken by job ID.
+func fcfsBefore(a, b *ReadyView) bool {
+	return a.Arrival < b.Arrival || a.Arrival == b.Arrival && a.Job < b.Job
 }
 
 // nextHead makes the first job of set at or after View.Ready index i the
@@ -738,7 +809,6 @@ func (en *engine) complete(at time.Duration, si int) {
 		wait = 0
 	}
 	en.waits = append(en.waits, wait)
-	en.waitsSorted = false
 	en.waitSum += wait
 	en.respSum += at - job.Arrival
 	en.completed++
@@ -764,9 +834,9 @@ func (en *engine) observe(wall time.Duration) {
 	}
 }
 
-// result summarizes the engine state. It is pure and idempotent: the wait
-// ledger is sorted in place at most once (complete() clears the flag), so
-// repeated calls return identical quantiles without re-copying the slice.
+// result summarizes the engine state. It reorders the wait ledger in place
+// (selectNth), so observe, which sums the waits in ledger order, runs
+// first; repeated calls return identical Results.
 func (en *engine) result() Result {
 	res := Result{
 		Policy:        en.cfg.Policy.Name(),
@@ -781,16 +851,13 @@ func (en *engine) result() Result {
 	if en.completed > 0 {
 		res.MeanWaitNS = int64(en.waitSum) / int64(en.completed)
 		res.MeanResponseNS = int64(en.respSum) / int64(en.completed)
-		if !en.waitsSorted {
-			slices.Sort(en.waits)
-			en.waitsSorted = true
-		}
 		idx := len(en.waits) * 99 / 100
 		if idx >= len(en.waits) {
 			idx = len(en.waits) - 1
 		}
+		selectNth(en.waits, idx)
 		res.P99WaitNS = int64(en.waits[idx])
-		res.MaxWaitNS = int64(en.waits[len(en.waits)-1])
+		res.MaxWaitNS = int64(slices.Max(en.waits[idx:]))
 	}
 	if en.makespan > 0 {
 		b := en.icapBusy
@@ -814,4 +881,52 @@ func (en *engine) result() Result {
 		}
 	}
 	return res
+}
+
+// selectNth reorders s so that s[k] holds the value a sort would put there,
+// with no larger value before it and no smaller one after it: Hoare
+// quickselect on a median-of-three pivot, finishing the range with a sort if
+// the partitions stop shrinking.
+func selectNth(s []time.Duration, k int) {
+	lo, hi := 0, len(s)-1
+	for rounds := 2 * bits.Len(uint(len(s))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(s[lo : hi+1])
+			return
+		}
+		m := int(uint(lo+hi) >> 1)
+		if s[m] < s[lo] {
+			s[m], s[lo] = s[lo], s[m]
+		}
+		if s[hi] < s[lo] {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if s[hi] < s[m] {
+			s[hi], s[m] = s[m], s[hi]
+		}
+		p := s[m]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < p {
+				i++
+			}
+			for s[j] > p {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo:j+1] <= p <= s[i:hi+1], and s[j+1:i] all equal p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
