@@ -176,7 +176,29 @@ func (c *Client) postJSON(ctx context.Context, op, path string, in, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return err
+	}
+	drain(resp.Body)
+	return nil
+}
+
+// drainCap bounds the bytes drain reads past a reply's last value: the
+// newline and chunked terminator of a well-formed costd reply, with ample
+// room to spare.
+const drainCap = 64 << 10
+
+// drain reads what is left of a response body, up to drainCap bytes, before
+// the caller closes it. http.Transport keeps a connection for the next call
+// only if its body reached EOF before Close, and costd's chunked terminator
+// often arrives in a write of its own after the last line: after a flushed
+// terminal line, or after a line larger than the server's write buffer. The
+// read also ends when the call's context is cancelled; a read error only
+// costs the connection. Only replies read to their terminal value are
+// drained: closing early is how costd learns that a stream was abandoned,
+// and stops its engine.
+func drain(body io.Reader) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, drainCap))
 }
 
 // PRR batch-evaluates the PRR size/organization model.
@@ -242,6 +264,8 @@ func (c *Client) Simulate(ctx context.Context, req *api.SimulateRequest, visit f
 // progress event goes to visit (false abandons the stream) and is counted
 // into the span attribute named count. It returns the Done payload, or an
 // error naming endpoint — also when the stream ends without a Done event.
+// A terminal Done or error line drains the body, so the connection is kept;
+// an abandoned, undecodable or cancelled stream is closed where it stands.
 func readStream[E, D any](c *Client, ctx context.Context, span *obs.Span, endpoint, count string, req any,
 	split func(*E) (errMsg string, done *D, progress bool), visit func(*E) bool) (*D, error) {
 	body, err := json.Marshal(req)
@@ -270,8 +294,10 @@ func readStream[E, D any](c *Client, ctx context.Context, span *obs.Span, endpoi
 		}
 		switch msg, done, progress := split(&ev); {
 		case msg != "":
+			drain(resp.Body)
 			return nil, fmt.Errorf("client: %s failed: %s", endpoint, msg)
 		case done != nil:
+			drain(resp.Body)
 			return done, nil
 		case progress:
 			n++

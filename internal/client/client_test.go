@@ -2,9 +2,12 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -507,5 +510,145 @@ func TestClientSimulateContextCancelMidStream(t *testing.T) {
 			t.Fatal("service_sim_cancelled_total still 0 a second after hangup")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// lateTerminator answers every request with body, flushed, and returns 50
+// ms later, so the chunked terminator always arrives in a write of its own.
+func lateTerminator(body string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_, _ = io.WriteString(w, body)
+		w.(http.Flusher).Flush()
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestClientKeepsConnectionLateTerminator: a call reads its reply to EOF
+// after the terminal line, so the transport keeps the connection and the
+// second of two calls reuses it, even when the terminator trails the last
+// line by 50 ms.
+func TestClientKeepsConnectionLateTerminator(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		call       func(context.Context, *Client) error
+	}{
+		{"explore", `{"point":{"groups":[["A"]]}}` + "\n" + `{"done":{"front":[]}}` + "\n",
+			func(ctx context.Context, c *Client) error {
+				_, err := c.Explore(ctx, &api.ExploreRequest{Device: "XC6VLX75T", SyntheticN: 1}, nil)
+				return err
+			}},
+		{"simulate", `{"snapshot":{"seq":1}}` + "\n" + `{"done":{"front_size":1}}` + "\n",
+			func(ctx context.Context, c *Client) error {
+				_, err := c.Simulate(ctx, &api.SimulateRequest{Device: "XC6VLX75T", SyntheticN: 1}, nil)
+				return err
+			}},
+		{"simulate error line", `{"error":"engine failed"}` + "\n",
+			func(ctx context.Context, c *Client) error {
+				if _, err := c.Simulate(ctx, &api.SimulateRequest{Device: "XC6VLX75T", SyntheticN: 1}, nil); err == nil {
+					return errors.New("an error line reported success")
+				}
+				return nil
+			}},
+		{"prr", `{"results":[]}` + "\n",
+			func(ctx context.Context, c *Client) error {
+				_, err := c.PRR(ctx, testPRR)
+				return err
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(lateTerminator(tc.body))
+			t.Cleanup(ts.Close)
+			c := New(ts.URL)
+			c.HTTPClient = &http.Client{Transport: &http.Transport{}}
+			t.Cleanup(c.HTTPClient.CloseIdleConnections)
+			var reused []bool
+			ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+				GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+			})
+			for i := 0; i < 2; i++ {
+				if err := tc.call(ctx, c); err != nil {
+					t.Fatalf("call %d: %v", i+1, err)
+				}
+			}
+			if !reflect.DeepEqual(reused, []bool{false, true}) {
+				t.Errorf("connections reused %v, want [false true]", reused)
+			}
+		})
+	}
+}
+
+// TestClientAbandonNotDrained: a stream the visitor abandons is closed where
+// it stands, not drained, so the server sees the disconnect: the handler's
+// request context is cancelled while it still holds the stream open.
+func TestClientAbandonNotDrained(t *testing.T) {
+	cancelled := make(chan bool, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_, _ = io.WriteString(w, `{"point":{"groups":[["A"]]}}`+"\n")
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+			cancelled <- true
+		case <-time.After(2 * time.Second):
+			cancelled <- false
+		}
+	}))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL)
+	c.MaxRetries = 0
+	_, err := c.Explore(context.Background(), &api.ExploreRequest{Device: "XC6VLX75T", SyntheticN: 1},
+		func(api.DesignPoint) bool { return false })
+	if err == nil {
+		t.Fatal("abandoned stream reported success")
+	}
+	if !<-cancelled {
+		t.Error("the handler's request context was not cancelled: the abandoned stream was drained")
+	}
+}
+
+// TestClientOneConnectionPerCaller: sequential typed calls of every kind
+// against a listening costd (explore streams, single-platform simulations,
+// co-explorations and prr batches) all ride one connection.
+func TestClientOneConnectionPerCaller(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := service.New(service.Config{Registry: reg})
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	c := New(s.URL())
+	c.HTTPClient = &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(c.HTTPClient.CloseIdleConnections)
+	ctx := context.Background()
+	explore := &api.ExploreRequest{Device: "XC6VLX75T", SyntheticN: 6, Options: api.ExploreOptions{Workers: 1}}
+	simulate := &api.SimulateRequest{
+		Device: "XC6VLX75T", SyntheticN: 3, Policy: "priority",
+		Mix:           api.SimMix{Jobs: 100, Seed: 5, MeanExecUS: 200, MeanGapUS: 50},
+		SnapshotEvery: 20,
+	}
+	coexplore := &api.SimulateRequest{
+		Device: "XC6VLX75T", SyntheticN: 6, CoExplore: true,
+		Mix:     api.SimMix{Jobs: 60, Seed: 2, Arrival: "bursty", MeanExecUS: 300, MeanGapUS: 60, PriorityLevels: 3},
+		Options: api.ExploreOptions{Workers: 1},
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := c.Explore(ctx, explore, nil); err != nil {
+			t.Fatalf("explore %d: %v", i, err)
+		}
+		if _, err := c.Simulate(ctx, simulate, nil); err != nil {
+			t.Fatalf("simulate %d: %v", i, err)
+		}
+		if _, err := c.Simulate(ctx, coexplore, nil); err != nil {
+			t.Fatalf("co-exploration %d: %v", i, err)
+		}
+		if _, err := c.PRR(ctx, testPRR); err != nil {
+			t.Fatalf("prr %d: %v", i, err)
+		}
+	}
+	if n := reg.Counter("service_connections_total", "").Value(); n != 1 {
+		t.Errorf("service_connections_total = %d after 40 sequential calls, want 1", n)
 	}
 }

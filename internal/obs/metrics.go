@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -46,6 +48,15 @@ type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last is overflow (+Inf)
 	sum    atomic.Uint64  // float64 bits, CAS-accumulated
+	// nsBounds[i] is the largest duration whose Seconds() is at most
+	// bounds[nsSkip+i]; the first nsSkip bounds lie below every duration.
+	// ObserveDurations buckets against them, starting a non-negative
+	// duration of bit length k at nsStart[k], the first of them at or above
+	// the smallest duration of that length: a 1-2.5-5 ladder puts at most
+	// two bounds in one bit length.
+	nsBounds []time.Duration
+	nsSkip   int
+	nsStart  [64]int32
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -55,7 +66,42 @@ func newHistogram(bounds []float64) *Histogram {
 		}
 	}
 	b := append([]float64(nil), bounds...)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h := &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	for _, bound := range b {
+		if d, ok := maxDurationAtMost(bound); ok {
+			h.nsBounds = append(h.nsBounds, d)
+		} else {
+			h.nsSkip++
+		}
+	}
+	for k := 1; k < len(h.nsStart); k++ {
+		i, _ := slices.BinarySearch(h.nsBounds, time.Duration(1)<<(k-1))
+		h.nsStart[k] = int32(i)
+	}
+	return h
+}
+
+// maxDurationAtMost returns the largest duration d with d.Seconds() <= s,
+// or false when there is none. Seconds never decreases as d grows, so the
+// durations that qualify are a prefix of the int64 range, found by
+// bisection.
+func maxDurationAtMost(s float64) (time.Duration, bool) {
+	lo, hi := time.Duration(math.MinInt64), time.Duration(math.MaxInt64)
+	if !(lo.Seconds() <= s) {
+		return 0, false
+	}
+	if hi.Seconds() <= s {
+		return hi, true
+	}
+	for uint64(hi-lo) > 1 { // lo qualifies, hi does not
+		mid := lo + time.Duration(uint64(hi-lo)/2)
+		if mid.Seconds() <= s {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, true
 }
 
 // Observe records one value.
@@ -66,10 +112,12 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // ObserveDurations records each duration in seconds, with the bucket counts
-// Observe would give them one by one. The batch is tallied locally first, so
-// it costs one atomic add per non-empty bucket and one CAS on the sum however
-// long it is: a simulation run records its per-job waits this way once,
-// instead of contending on shared counters per event.
+// Observe would give them one by one and the sum it would add up, in order.
+// Durations are bucketed against integer nanosecond bounds, with no float
+// search. The batch is tallied locally first, so it costs one atomic add per
+// non-empty bucket and one CAS on the sum however long it is: a simulation
+// run records its per-job waits this way once, instead of contending on
+// shared counters per event.
 func (h *Histogram) ObserveDurations(ds []time.Duration) {
 	if len(ds) == 0 {
 		return
@@ -81,9 +129,15 @@ func (h *Histogram) ObserveDurations(ds []time.Duration) {
 	}
 	sum := 0.0
 	for _, d := range ds {
-		v := d.Seconds()
-		local[sort.SearchFloat64s(h.bounds, v)]++
-		sum += v
+		i := 0
+		if d >= 0 {
+			i = int(h.nsStart[bits.Len64(uint64(d))])
+		}
+		for i < len(h.nsBounds) && h.nsBounds[i] < d { // first bound >= d
+			i++
+		}
+		local[h.nsSkip+i]++
+		sum += d.Seconds()
 	}
 	for i := range h.counts {
 		if local[i] > 0 {

@@ -90,6 +90,56 @@ func TestObserveDurationsMatchesObserve(t *testing.T) {
 	}
 }
 
+// TestObserveDurationsExact: ObserveDurations buckets each duration where
+// Observe buckets its Seconds(), checked one duration at a time at each
+// bound's nanosecond edges ±1 ns, at 0, at the int64 extremes and on random
+// durations, and a batch of them all sums bit-identically to adding their
+// Seconds() in order.
+func TestObserveDurationsExact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for _, bounds := range [][]float64{
+		LatencyBuckets, CountBuckets, SizeBuckets,
+		{-1.5, 0, 1e-9, 1.2e-9, 1.5e-9, 2e-9, 9.2e9},
+		{-1e19, math.Inf(1)},
+	} {
+		ds := []time.Duration{0, 1, -1, math.MaxInt64, math.MinInt64}
+		for _, b := range bounds {
+			if d, ok := maxDurationAtMost(b); ok {
+				ds = append(ds, d-1, d, d+1)
+			}
+			if ns := b * 1e9; math.Abs(ns) < 9e18 {
+				d := time.Duration(ns)
+				ds = append(ds, d-1, d, d+1)
+			}
+		}
+		for range 500 {
+			switch rng.IntN(3) {
+			case 0:
+				ds = append(ds, time.Duration(rng.Int64N(int64(20*time.Second))))
+			case 1:
+				ds = append(ds, time.Duration(rng.Int64N(int64(time.Millisecond))))
+			default:
+				ds = append(ds, time.Duration(rng.Uint64()))
+			}
+		}
+		want := 0.0
+		for _, d := range ds {
+			one, each := newHistogram(bounds), newHistogram(bounds)
+			one.ObserveDurations([]time.Duration{d})
+			each.Observe(d.Seconds())
+			if got, exp := one.Snapshot().Counts, each.Snapshot().Counts; !reflect.DeepEqual(got, exp) {
+				t.Fatalf("bounds %v: %d ns (%v s) bucketed %v, Observe gives %v", bounds, int64(d), d.Seconds(), got, exp)
+			}
+			want += d.Seconds()
+		}
+		batch := newHistogram(bounds)
+		batch.ObserveDurations(ds)
+		if got := batch.Snapshot().Sum; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("bounds %v: batch sum %v, in-order sum of Seconds() %v", bounds, got, want)
+		}
+	}
+}
+
 // TestHistogramConcurrent: parallel observers lose no counts (run with -race).
 func TestHistogramConcurrent(t *testing.T) {
 	h := newHistogram(LatencyBuckets)

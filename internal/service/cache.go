@@ -11,11 +11,13 @@ import (
 // gets a useful per-shard capacity.
 const cacheShards = 16
 
-// lruCache is a bounded, sharded LRU of serialized responses. Each shard
-// holds its own lock, map and recency list; a key's shard is its maphash, so
+// lruCache is a bounded, sharded LRU of cached values: serialized
+// responses, and co-exploration fronts held decoded. Each shard holds its
+// own lock, map and recency list; a key's shard is its maphash, so
 // canonical request hashes spread uniformly. Every shard is bounded twice:
 // by its share of the entry cap and by its share of DefaultCacheBytes,
-// counting each entry's key and response bytes. A full-size /v1/prr batch
+// counting each entry's key bytes and the size its Put gave it (a
+// response's length, a front's JSON length). A full-size /v1/prr batch
 // reply is ~260 KB, so the entry cap alone would let 4,096 of them pin a
 // gigabyte.
 type lruCache struct {
@@ -27,14 +29,15 @@ type lruShard struct {
 	mu       sync.Mutex
 	cap      int // entries
 	maxBytes int
-	bytes    int        // key and response bytes held
+	bytes    int        // key bytes and value sizes held
 	ll       *list.List // front = most recent
 	items    map[string]*list.Element
 }
 
 type lruEntry struct {
-	key string
-	val []byte
+	key  string
+	val  any
+	size int // the bytes val counts against the byte bound
 }
 
 // newLRUCache bounds the cache at totalEntries and DefaultCacheBytes across
@@ -60,8 +63,8 @@ func (c *lruCache) shard(key string) *lruShard {
 	return &c.shards[maphash.String(c.seed, key)%cacheShards]
 }
 
-// Get returns the cached response and refreshes its recency.
-func (c *lruCache) Get(key string) ([]byte, bool) {
+// Get returns the cached value and refreshes its recency.
+func (c *lruCache) Get(key string) (any, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -73,10 +76,10 @@ func (c *lruCache) Get(key string) ([]byte, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// Put inserts (or refreshes) the response and returns how many entries the
-// shard evicted to stay within both its bounds. A response too large for a
-// shard's byte budget is not cached.
-func (c *lruCache) Put(key string, val []byte) (evicted int) {
+// Put inserts (or refreshes) val, counting size bytes for it besides its
+// key, and returns how many entries the shard evicted to stay within both
+// its bounds. A value too large for a shard's byte budget is not cached.
+func (c *lruCache) Put(key string, val any, size int) (evicted int) {
 	s := c.shard(key)
 	if s.cap <= 0 {
 		return 0
@@ -86,12 +89,11 @@ func (c *lruCache) Put(key string, val []byte) (evicted int) {
 	if el, ok := s.items[key]; ok {
 		s.remove(el)
 	}
-	size := len(key) + len(val)
-	if size > s.maxBytes {
+	if len(key)+size > s.maxBytes {
 		return 0
 	}
-	s.items[key] = s.ll.PushFront(&lruEntry{key: key, val: val})
-	s.bytes += size
+	s.items[key] = s.ll.PushFront(&lruEntry{key: key, val: val, size: size})
+	s.bytes += len(key) + size
 	for s.ll.Len() > s.cap || s.bytes > s.maxBytes {
 		s.remove(s.ll.Back())
 		evicted++
@@ -103,7 +105,7 @@ func (c *lruCache) Put(key string, val []byte) (evicted int) {
 func (s *lruShard) remove(el *list.Element) {
 	e := s.ll.Remove(el).(*lruEntry)
 	delete(s.items, e.key)
-	s.bytes -= len(e.key) + len(e.val)
+	s.bytes -= len(e.key) + e.size
 }
 
 // Len is the current entry count across shards.

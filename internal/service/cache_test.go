@@ -14,15 +14,15 @@ func TestLRUBasics(t *testing.T) {
 	if _, ok := c.Get("absent"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Put("k", []byte("v"))
+	c.Put("k", "v", 1)
 	got, ok := c.Get("k")
-	if !ok || string(got) != "v" {
-		t.Fatalf("Get(k) = %q, %v; want v, true", got, ok)
+	if !ok || got != "v" {
+		t.Fatalf("Get(k) = %v, %v; want v, true", got, ok)
 	}
 	// Refresh overwrites in place without growing.
-	c.Put("k", []byte("v2"))
-	if got, _ := c.Get("k"); string(got) != "v2" {
-		t.Fatalf("refresh kept stale value %q", got)
+	c.Put("k", "v2", 2)
+	if got, _ := c.Get("k"); got != "v2" {
+		t.Fatalf("refresh kept stale value %v", got)
 	}
 	if n := c.Len(); n != 1 {
 		t.Fatalf("Len = %d after refreshing one key, want 1", n)
@@ -37,7 +37,7 @@ func TestLRUEvictionBound(t *testing.T) {
 	c := newLRUCache(total)
 	evicted := 0
 	for i := 0; i < 50*total; i++ {
-		evicted += c.Put(fmt.Sprintf("key-%d", i), []byte{byte(i)})
+		evicted += c.Put(fmt.Sprintf("key-%d", i), i, 1)
 		if n := c.Len(); n > total {
 			t.Fatalf("cache grew to %d entries, bound is %d", n, total)
 		}
@@ -51,7 +51,8 @@ func TestLRUEvictionBound(t *testing.T) {
 }
 
 // heldBytes sums the key and response bytes the cache holds, walking the
-// shards' recency lists rather than trusting the cache's own accounting.
+// shards' recency lists and measuring each []byte response rather than
+// trusting the cache's own accounting.
 func heldBytes(c *lruCache) int {
 	n := 0
 	for i := range c.shards {
@@ -59,7 +60,7 @@ func heldBytes(c *lruCache) int {
 		s.mu.Lock()
 		for el := s.ll.Front(); el != nil; el = el.Next() {
 			e := el.Value.(*lruEntry)
-			n += len(e.key) + len(e.val)
+			n += len(e.key) + len(e.val.([]byte))
 		}
 		s.mu.Unlock()
 	}
@@ -75,7 +76,7 @@ func TestLRUByteBound(t *testing.T) {
 	reply := make([]byte, 262946) // shared: the test itself stays small
 	evicted := 0
 	for i := 0; i < DefaultCacheEntries; i++ {
-		evicted += c.Put(fmt.Sprintf("prr@%064x", i), reply)
+		evicted += c.Put(fmt.Sprintf("prr@%064x", i), reply, len(reply))
 		if held := heldBytes(c); held > DefaultCacheBytes {
 			t.Fatalf("after %d puts the cache holds %d bytes, bound is %d", i+1, held, DefaultCacheBytes)
 		}
@@ -88,7 +89,7 @@ func TestLRUByteBound(t *testing.T) {
 	}
 
 	huge := make([]byte, DefaultCacheBytes/cacheShards+1)
-	if ev := c.Put("huge", huge); ev != 0 {
+	if ev := c.Put("huge", huge, len(huge)); ev != 0 {
 		t.Errorf("an uncacheable reply evicted %d entries", ev)
 	}
 	if _, ok := c.Get("huge"); ok {
@@ -109,10 +110,10 @@ func TestLRURecency(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	c.Put(keys[0], []byte("a"))
-	c.Put(keys[1], []byte("b"))
-	c.Get(keys[0])              // refresh: keys[1] is now coldest
-	c.Put(keys[2], []byte("c")) // evicts keys[1]
+	c.Put(keys[0], "a", 1)
+	c.Put(keys[1], "b", 1)
+	c.Get(keys[0])         // refresh: keys[1] is now coldest
+	c.Put(keys[2], "c", 1) // evicts keys[1]
 	if _, ok := c.Get(keys[0]); !ok {
 		t.Error("recently used entry was evicted")
 	}
@@ -124,7 +125,7 @@ func TestLRURecency(t *testing.T) {
 // TestLRUDisabled: zero capacity swallows puts and misses gets.
 func TestLRUDisabled(t *testing.T) {
 	c := newLRUCache(0)
-	c.Put("k", []byte("v"))
+	c.Put("k", "v", 1)
 	if _, ok := c.Get("k"); ok {
 		t.Error("disabled cache served a hit")
 	}
@@ -143,7 +144,7 @@ func TestLRUConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k-%d", (g*31+i)%128)
-				c.Put(k, []byte(k))
+				c.Put(k, k, len(k))
 				c.Get(k)
 			}
 		}(g)
@@ -163,14 +164,14 @@ func TestSingleflightShares(t *testing.T) {
 	evalCount := 0
 
 	// Leader: enters the flight and blocks on the gate.
-	leaderDone := make(chan []byte, 1)
+	leaderDone := make(chan any, 1)
 	go func() {
-		val, _, _ := g.Do("key", func() ([]byte, error) {
+		val, _, _ := g.Do("key", func() (any, error) {
 			mu.Lock()
 			evalCount++
 			mu.Unlock()
 			<-gate
-			return []byte("out"), nil
+			return "out", nil
 		})
 		leaderDone <- val
 	}()
@@ -184,12 +185,12 @@ func TestSingleflightShares(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, shared, err := g.Do("key", func() ([]byte, error) {
+			val, shared, err := g.Do("key", func() (any, error) {
 				t.Error("follower executed the function")
 				return nil, nil
 			})
-			if err != nil || string(val) != "out" {
-				t.Errorf("follower got %q, %v", val, err)
+			if err != nil || val != "out" {
+				t.Errorf("follower got %v, %v", val, err)
 			}
 			mu.Lock()
 			if shared {
@@ -203,8 +204,8 @@ func TestSingleflightShares(t *testing.T) {
 	// fn catches that explicitly rather than deadlocking.)
 	time.Sleep(100 * time.Millisecond)
 	close(gate)
-	if v := <-leaderDone; string(v) != "out" {
-		t.Fatalf("leader got %q", v)
+	if v := <-leaderDone; v != "out" {
+		t.Fatalf("leader got %v", v)
 	}
 	wg.Wait()
 

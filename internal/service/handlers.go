@@ -121,7 +121,10 @@ func decodeBatch(w http.ResponseWriter, r *http.Request, req any, validate func(
 func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint, contentType, key string, compute func() ([]byte, error)) {
 	ann := annotations(r.Context())
 	ann.key = key
-	resp, hit, err := s.lookup(endpoint, key, compute)
+	resp, hit, err := s.lookup(endpoint, key, func() (any, int, error) {
+		out, err := compute()
+		return out, len(out), err
+	})
 	switch {
 	case errors.Is(err, errDraining):
 		ann.shed = "draining"
@@ -130,31 +133,33 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint, conten
 		httpErr(w, http.StatusInternalServerError, err.Error())
 	default:
 		w.Header().Set("X-Cache", cacheState(hit))
-		writeRaw(w, contentType, resp)
+		writeRaw(w, contentType, resp.([]byte))
 	}
 }
 
 // lookup returns the response cache's value for key, or else computes it
 // once for every identical in-flight caller (singleflight) and caches it.
-// hit reports a cache answer. It is the only reader and writer of the cache
-// and the flight group, so every lookup counts in the cache hit, miss,
-// coalesced and eviction metrics. endpoint names the compute for the eval
-// hook. Errors are not cached.
-func (s *Server) lookup(endpoint, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
+// compute returns the value and the bytes it counts against the cache's
+// byte bound. hit reports a cache answer. It is the only reader and writer
+// of the cache and the flight group, so every lookup counts in the cache
+// hit, miss, coalesced and eviction metrics. endpoint names the compute for
+// the eval hook. Errors are not cached. Every caller of one key shares one
+// value, so callers must only read it.
+func (s *Server) lookup(endpoint, key string, compute func() (val any, size int, err error)) (val any, hit bool, err error) {
 	if val, ok := s.cache.Get(key); ok {
 		s.met.cacheHits.Inc()
 		return val, true, nil
 	}
 	s.met.cacheMisses.Inc()
-	val, shared, err := s.flight.Do(key, func() ([]byte, error) {
+	val, shared, err := s.flight.Do(key, func() (any, error) {
 		if s.cfg.evalHook != nil {
 			s.cfg.evalHook(endpoint)
 		}
-		out, err := compute()
+		out, size, err := compute()
 		if err != nil {
 			return nil, err
 		}
-		if ev := s.cache.Put(key, out); ev > 0 {
+		if ev := s.cache.Put(key, out, size); ev > 0 {
 			s.met.cacheEvictions.Add(int64(ev))
 		}
 		s.met.cacheEntries.Set(int64(s.cache.Len()))

@@ -178,7 +178,10 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 
 // coexFront is a co-exploration's cached front: the exact Pareto front, the
 // platforms realizing its scored organizations (sim.BuildFront) and the
-// explorer statistics.
+// explorer statistics. The cache holds it decoded, and every co-exploration
+// of its module set shares it: sim.ScoreFront, sim.Run and wireScore only
+// read it (Platform.PRRs, PRM.Compat, DesignPoint.Groups), and must keep
+// to that.
 type coexFront struct {
 	Front     []dse.DesignPoint
 	Platforms []sim.Platform
@@ -191,9 +194,11 @@ type coexFront struct {
 // order, unlike explore's canonical key: the mix draws PRMs by position, and
 // a front priced in another order may list its organizations differently.
 // Like drainable, the explore runs under the drain context, since coalesced
-// followers and later hits outlive the request that started it.
+// followers and later hits outlive the request that started it. The entry
+// counts the length of the front's JSON encoding against the cache's byte
+// bound, as when the cache held that encoding.
 func (s *Server) coexploreFront(ctx context.Context, dev *device.Device, req *api.SimulateRequest,
-	specs []sim.Spec, opts dse.BBOptions) (coexFront, error) {
+	specs []sim.Spec, opts dse.BBOptions) (*coexFront, error) {
 
 	ctx, span := obs.StartSpan(ctx, "service.coexplore_front")
 	defer span.End()
@@ -203,7 +208,7 @@ func (s *Server) coexploreFront(ctx context.Context, dev *device.Device, req *ap
 		SyntheticN int                `json:"synthetic_n,omitempty"`
 		Options    api.ExploreOptions `json:"options"`
 	}{dev.Name, req.PRMs, req.SyntheticN, req.Options})
-	raw, hit, err := s.lookup("coexplore-front", key, func() ([]byte, error) {
+	v, hit, err := s.lookup("coexplore-front", key, func() (any, int, error) {
 		// The leader's explore joins its trace under this span.
 		run := obs.ContextWithTrace(obs.WithTracer(s.drainCtx, obs.TracerFrom(ctx)), span.Context())
 		prms := make([]dse.PRM, len(specs))
@@ -213,21 +218,21 @@ func (s *Server) coexploreFront(ctx context.Context, dev *device.Device, req *ap
 		e := &dse.Explorer{Device: dev, Estimator: estimator}
 		front, stats, err := e.ExploreParetoBB(run, prms, opts)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		plats, err := sim.BuildFront(dev, specs, front)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return json.Marshal(coexFront{front, plats, stats})
+		fv := &coexFront{front, plats, stats}
+		raw, err := json.Marshal(fv)
+		return fv, len(raw), err
 	})
 	span.SetAttr("cache", cacheState(hit))
 	if err != nil {
-		return coexFront{}, err
+		return nil, err
 	}
-	var v coexFront
-	err = json.Unmarshal(raw, &v)
-	return v, err
+	return v.(*coexFront), nil
 }
 
 // simSpecs resolves the request's module set (explicit PRMs or the

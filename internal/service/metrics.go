@@ -10,6 +10,10 @@ type serviceMetrics struct {
 	failures map[string]*obs.Counter
 	latency  map[string]*obs.Histogram
 	inflight *obs.Gauge
+	// connections counts accepted TCP connections (Start only): a client
+	// that keeps its connections adds one per connection it holds, not one
+	// per request.
+	connections *obs.Counter
 
 	coalesced      *obs.Counter
 	cacheHits      *obs.Counter
@@ -36,6 +40,8 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 		failures: make(map[string]*obs.Counter, len(endpointNames)),
 		latency:  make(map[string]*obs.Histogram, len(endpointNames)),
 		inflight: reg.Gauge("service_inflight", "admitted requests currently being served"),
+		connections: reg.Counter("service_connections_total",
+			"TCP connections accepted by the listener"),
 
 		coalesced: reg.Counter("service_coalesced_total",
 			"requests that shared an identical in-flight evaluation (singleflight followers)"),

@@ -140,7 +140,12 @@ func (s *Server) Start(addr string) error {
 		return fmt.Errorf("service: listen %s: %w", addr, err)
 	}
 	s.ln = ln
-	s.http = &http.Server{Handler: s, ReadHeaderTimeout: 5 * time.Second}
+	s.http = &http.Server{Handler: s, ReadHeaderTimeout: 5 * time.Second,
+		ConnState: func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				s.met.connections.Inc()
+			}
+		}}
 	s.done = make(chan struct{})
 	go func() {
 		defer close(s.done)

@@ -560,6 +560,97 @@ func TestCoExploreCacheOffSameReplies(t *testing.T) {
 	}
 }
 
+// cachedFronts returns the co-exploration fronts the cache holds.
+func cachedFronts(c *lruCache) []*coexFront {
+	var out []*coexFront
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for el := sh.ll.Front(); el != nil; el = el.Next() {
+			if fv, ok := el.Value.(*lruEntry).val.(*coexFront); ok {
+				out = append(out, fv)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// TestCoExploreSharedFrontConcurrent: concurrent co-explorations of one
+// module set share the cache's one decoded front. Every reply is
+// byte-identical to a cache-off server's, and the front's JSON encoding is
+// the same afterwards as before (CI runs this under -race, which reports
+// any write to the shared front).
+func TestCoExploreSharedFrontConcurrent(t *testing.T) {
+	var evals evalCounter
+	s, on := newTestServer(t, Config{evalHook: evals.hook})
+	_, off := newTestServer(t, Config{CacheEntries: -1})
+	var bodies []string
+	for seed := uint64(1); seed <= 4; seed++ {
+		req := coexploreRequest(frontPRMs(), seed)
+		if seed%2 == 0 {
+			req.Policies = []string{"reconfig", "fcfs"}
+		}
+		if seed == 4 {
+			req.SummaryOnly = true
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, string(body))
+	}
+	if resp, raw := post(t, on, "/v1/simulate", bodies[0]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	fronts := cachedFronts(s.cache)
+	if len(fronts) != 1 {
+		t.Fatalf("cache holds %d co-exploration fronts, want 1", len(fronts))
+	}
+	before, err := json.Marshal(fronts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 3
+	got := make([][]byte, rounds*len(bodies))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, raw, err := tryPost(on, "/v1/simulate", bodies[i%len(bodies)])
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: %v, %s", i, err, raw)
+				return
+			}
+			got[i] = raw
+		}(i)
+	}
+	wg.Wait()
+	for i, body := range bodies {
+		resp, want := post(t, off, "/v1/simulate", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cache-off request %d: status %d: %s", i, resp.StatusCode, want)
+		}
+		for r := 0; r < rounds; r++ {
+			if !bytes.Equal(got[r*len(bodies)+i], want) {
+				t.Errorf("request %d, round %d: reply differs from the cache-off server's", i, r)
+			}
+		}
+	}
+	after, err := json.Marshal(fronts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("the shared front's JSON changed while co-explorations read it")
+	}
+	if n := evals.get("coexplore-front"); n != 1 {
+		t.Errorf("front explored %d times, want 1", n)
+	}
+}
+
 // flushRecorder is a ResponseRecorder that notes, at each Flush, how many
 // lines the body holds.
 type flushRecorder struct {

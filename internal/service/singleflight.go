@@ -13,7 +13,7 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{}
-	val  []byte
+	val  any
 	err  error
 }
 
@@ -25,7 +25,7 @@ func newFlightGroup() *flightGroup {
 // piggybacked on another's execution (a coalesced request). The leader
 // removes the key before returning, so a later request recomputes — by then
 // the response cache normally answers instead.
-func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
+func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
