@@ -49,7 +49,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8433", "listen address (\":0\" picks a free port)")
-	cache := flag.Int("cache", service.DefaultCacheEntries, "response cache entries across shards (negative = off)")
+	cache := flag.Int("cache", service.DefaultCacheEntries, "response cache entries (negative = off)")
 	grace := flag.Duration("grace", 10*time.Second, "graceful shutdown drain budget")
 	accessLogOut := flag.String("access-log", "",
 		"write one JSON line per served request to this file (empty = off)")

@@ -6,10 +6,10 @@
 // cumulative; windowed rates and quantiles are the scraper's to take.
 //
 // The default path is designed to cost nothing measurable: counters and
-// gauges are single atomic words, and anything heavier — span creation,
-// time.Now pairs around hot evaluations, per-device histograms — is gated on
-// Active(), which stays false until a tracer, a run summary or costd's
-// service is started. Instrumented packages therefore register their metrics
-// unconditionally at init and only pay for wall-clock sampling when an
-// operator actually asked to watch.
+// gauges are single atomic words, engines take one time.Now pair per run,
+// and spans are recorded only when a tracer is in the context. Active(),
+// which stays false until a tracer, a run summary or costd's server is
+// started, gates the one heavier path: floorplan's per-device histograms.
+// Instrumented packages therefore register their metrics unconditionally at
+// init.
 package obs

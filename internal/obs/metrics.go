@@ -203,14 +203,13 @@ var (
 	}
 )
 
-// active gates the non-trivial instrumentation paths (wall-clock sampling,
-// per-device histograms). See SetActive.
+// active gates floorplan's two per-device histograms. See SetActive.
 var active atomic.Bool
 
 // Active reports whether heavyweight instrumentation is enabled.
 func Active() bool { return active.Load() }
 
 // SetActive enables or disables heavyweight instrumentation. NewTracer and
-// service.New enable it implicitly; commands writing run summaries enable it
-// before running.
+// service's (*Server).Start enable it implicitly; commands writing run
+// summaries enable it before running.
 func SetActive(on bool) { active.Store(on) }

@@ -1,9 +1,9 @@
 // Package api defines the wire types of the costd cost-model service: the
 // JSON request/response bodies of /v1/devices, /v1/prr, /v1/bitstream and
 // /v1/explore, and the canonical request hashing that the server's response
-// cache and singleflight coalescing key on. The server (internal/service)
-// and the typed client (internal/client) share these types, so a field added
-// here reaches both ends at once.
+// cache and its coalescing of in-flight computes key on. The server
+// (internal/service) and the typed client (internal/client) share these
+// types, so a field added here reaches both ends at once.
 package api
 
 import (

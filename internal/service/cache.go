@@ -2,36 +2,31 @@ package service
 
 import (
 	"container/list"
-	"hash/maphash"
 	"sync"
 )
 
-// cacheShards fixes the shard count: enough to keep lock contention off the
-// hot path at typical core counts, small enough that a tiny cache still
-// gets a useful per-shard capacity.
-const cacheShards = 16
+// maxEntryBytes is the most key and value bytes one entry may count: a
+// sixteenth of DefaultCacheBytes, so a single reply cannot flush the cache.
+const maxEntryBytes = DefaultCacheBytes / 16
 
-// lruCache is a bounded, sharded LRU of cached values: serialized
-// responses, and co-exploration fronts held decoded. Each shard holds its
-// own lock, map and recency list; a key's shard is its maphash, so
-// canonical request hashes spread uniformly. Every shard is bounded twice:
-// by its share of the entry cap and by its share of DefaultCacheBytes,
-// counting each entry's key bytes and the size its Put gave it (a
-// response's length, a front's JSON length). A full-size /v1/prr batch
-// reply is ~260 KB, so the entry cap alone would let 4,096 of them pin a
-// gigabyte.
+// lruCache is costd's one cached path: a bounded LRU of cached values
+// (serialized responses, and co-exploration fronts held decoded) and the
+// computes in flight for missing keys, under one lock. A key is stored, in
+// flight or absent, so Do decides hit, join or lead in a single locked step
+// and no compute starts for a key another has just stored. The LRU is
+// bounded twice: by its entry cap and by DefaultCacheBytes, counting each
+// entry's key bytes and the size its compute gave it (a response's length,
+// a front's JSON length). A full-size /v1/prr batch reply is ~260 KB, so
+// the entry cap alone would let 4,096 of them pin a gigabyte.
 type lruCache struct {
-	seed   maphash.Seed
-	shards [cacheShards]lruShard
-}
+	met *serviceMetrics
 
-type lruShard struct {
-	mu       sync.Mutex
-	cap      int // entries
-	maxBytes int
-	bytes    int        // key bytes and value sizes held
-	ll       *list.List // front = most recent
-	items    map[string]*list.Element
+	mu      sync.Mutex
+	cap     int        // entries
+	bytes   int        // key bytes and value sizes held
+	ll      *list.List // front = most recent
+	items   map[string]*list.Element
+	flights map[string]*flight
 }
 
 type lruEntry struct {
@@ -40,82 +35,68 @@ type lruEntry struct {
 	size int // the bytes val counts against the byte bound
 }
 
-// newLRUCache bounds the cache at totalEntries and DefaultCacheBytes across
-// all shards. totalEntries <= 0 disables caching (every Get misses, Put
-// drops).
-func newLRUCache(totalEntries int) *lruCache {
-	c := &lruCache{seed: maphash.MakeSeed()}
-	per := 0
-	if totalEntries > 0 {
-		per = (totalEntries + cacheShards - 1) / cacheShards
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.cap = per
-		s.maxBytes = DefaultCacheBytes / cacheShards
-		s.ll = list.New()
-		s.items = make(map[string]*list.Element)
-	}
-	return c
+// flight is one compute in progress; joiners wait on done.
+type flight struct {
+	done chan struct{}
+	val  any
+	err  error
 }
 
-func (c *lruCache) shard(key string) *lruShard {
-	return &c.shards[maphash.String(c.seed, key)%cacheShards]
+// newLRUCache bounds the cache at entries and DefaultCacheBytes and counts
+// its lookups in met. entries <= 0 stores nothing, but concurrent computes
+// of one key still coalesce.
+func newLRUCache(entries int, met *serviceMetrics) *lruCache {
+	return &lruCache{
+		met:     met,
+		cap:     entries,
+		ll:      list.New(),
+		items:   make(map[string]*list.Element),
+		flights: make(map[string]*flight),
+	}
 }
 
-// Get returns the cached value and refreshes its recency.
-func (c *lruCache) Get(key string) (any, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return nil, false
+// Do returns key's value: the stored one (hit), else the one the compute in
+// flight for key returns (a coalesced miss), else its own compute's, which
+// it stores with the size compute gives it unless compute fails or the
+// entry is larger than maxEntryBytes. Errors are not stored. Every caller
+// of one key shares one value, so callers must only read it.
+func (c *lruCache) Do(key string, compute func() (val any, size int, err error)) (val any, hit bool, err error) {
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		val = el.Value.(*lruEntry).val
+		c.mu.Unlock()
+		c.met.cacheHits.Inc()
+		return val, true, nil
 	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
+	c.met.cacheMisses.Inc()
+	if f, ok := c.flights[key]; ok {
+		c.met.coalesced.Inc()
+		c.mu.Unlock()
+		<-f.done
+		return f.val, false, f.err
+	}
+	f := &flight{done: make(chan struct{})}
+	c.flights[key] = f
+	c.mu.Unlock()
 
-// Put inserts (or refreshes) val, counting size bytes for it besides its
-// key, and returns how many entries the shard evicted to stay within both
-// its bounds. A value too large for a shard's byte budget is not cached.
-func (c *lruCache) Put(key string, val any, size int) (evicted int) {
-	s := c.shard(key)
-	if s.cap <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.remove(el)
-	}
-	if len(key)+size > s.maxBytes {
-		return 0
-	}
-	s.items[key] = s.ll.PushFront(&lruEntry{key: key, val: val, size: size})
-	s.bytes += len(key) + size
-	for s.ll.Len() > s.cap || s.bytes > s.maxBytes {
-		s.remove(s.ll.Back())
-		evicted++
-	}
-	return evicted
-}
+	var size int
+	f.val, size, f.err = compute()
 
-// remove drops one entry from the shard; the caller holds s.mu.
-func (s *lruShard) remove(el *list.Element) {
-	e := s.ll.Remove(el).(*lruEntry)
-	delete(s.items, e.key)
-	s.bytes -= len(e.key) + e.size
-}
-
-// Len is the current entry count across shards.
-func (c *lruCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
+	c.mu.Lock()
+	delete(c.flights, key)
+	if f.err == nil && c.cap > 0 && len(key)+size <= maxEntryBytes {
+		c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: f.val, size: size})
+		c.bytes += len(key) + size
+		for c.ll.Len() > c.cap || c.bytes > DefaultCacheBytes {
+			e := c.ll.Remove(c.ll.Back()).(*lruEntry)
+			delete(c.items, e.key)
+			c.bytes -= len(e.key) + e.size
+			c.met.cacheEvictions.Inc()
+		}
+		c.met.cacheEntries.Set(int64(c.ll.Len()))
 	}
-	return n
+	c.mu.Unlock()
+	close(f.done)
+	return f.val, false, f.err
 }

@@ -15,14 +15,14 @@
 //	GET  /metrics      Prometheus text (the process obs registry)
 //
 // Every request takes one of two paths. Cacheable requests — batches,
-// front-only explorations, summary-only simulations — go through cached:
-// identical in-flight requests coalesce through singleflight on
-// canonicalized request hashes (api.CanonicalKey) and responses land in a
-// bounded sharded LRU keyed the same way. Point and event streams go through
-// stream. Admission control sheds every request past DefaultMaxInflight in
-// flight with 429 + Retry-After before any model runs. Shutdown
-// drains: in-flight requests, explore streams and simulate runs finish
-// within the caller's grace context, then stragglers are cancelled; new
-// explore and simulate runs are refused with 503 while batches are still
-// answered.
+// front-only explorations, summary-only simulations — go through cached,
+// keyed on canonicalized request hashes (api.CanonicalKey): one lock over a
+// bounded LRU and the computes in flight answers a repeat from the cache or
+// joins the identical compute already running. Point and event streams go
+// through stream. Admission control sheds every request past
+// DefaultMaxInflight in flight with 429 + Retry-After before any model runs.
+// Shutdown drains: in-flight requests, explore streams and simulate runs
+// finish within the caller's grace context, then stragglers are cancelled
+// and awaited; new explore and simulate runs are refused with 503 while
+// batches are still answered.
 package service

@@ -137,38 +137,17 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint, conten
 	}
 }
 
-// lookup returns the response cache's value for key, or else computes it
-// once for every identical in-flight caller (singleflight) and caches it.
-// compute returns the value and the bytes it counts against the cache's
-// byte bound. hit reports a cache answer. It is the only reader and writer
-// of the cache and the flight group, so every lookup counts in the cache
-// hit, miss, coalesced and eviction metrics. endpoint names the compute for
-// the eval hook. Errors are not cached. Every caller of one key shares one
-// value, so callers must only read it.
+// lookup returns the response cache's value for key through lruCache.Do,
+// computing it once for every identical in-flight caller. compute returns
+// the value and the bytes it counts against the cache's byte bound. hit
+// reports a cache answer. endpoint names the compute for the eval hook.
 func (s *Server) lookup(endpoint, key string, compute func() (val any, size int, err error)) (val any, hit bool, err error) {
-	if val, ok := s.cache.Get(key); ok {
-		s.met.cacheHits.Inc()
-		return val, true, nil
-	}
-	s.met.cacheMisses.Inc()
-	val, shared, err := s.flight.Do(key, func() (any, error) {
+	return s.cache.Do(key, func() (any, int, error) {
 		if s.cfg.evalHook != nil {
 			s.cfg.evalHook(endpoint)
 		}
-		out, size, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		if ev := s.cache.Put(key, out, size); ev > 0 {
-			s.met.cacheEvictions.Add(int64(ev))
-		}
-		s.met.cacheEntries.Set(int64(s.cache.Len()))
-		return out, nil
+		return compute()
 	})
-	if shared {
-		s.met.coalesced.Inc()
-	}
-	return val, false, err
 }
 
 // cacheState names a lookup's outcome, as X-Cache and span attributes

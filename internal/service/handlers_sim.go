@@ -100,7 +100,6 @@ func (s *Server) runSimulate(ctx context.Context, dev *device.Device, req *api.S
 			Mix:           mix,
 			Estimator:     estimator,
 			SnapshotEvery: snapEvery,
-			BB:            bb,
 			// The same workers knob caps both engines: the branch-and-bound
 			// search and the front replay pool. Ranked scores are identical
 			// at any worker count.

@@ -18,9 +18,11 @@ import (
 // Config tunes the serving layer. The zero value serves with sane defaults;
 // fields are capacities and policies, not wiring.
 type Config struct {
-	// CacheEntries bounds the response cache across all shards.
-	// 0 means DefaultCacheEntries; negative disables caching. The cache
-	// also holds at most DefaultCacheBytes of keys and responses.
+	// CacheEntries caps the response cache's entries. 0 means
+	// DefaultCacheEntries; negative disables caching (identical in-flight
+	// requests still share one compute). The cache also holds at most
+	// DefaultCacheBytes of keys and responses, and no entry larger than a
+	// sixteenth of that.
 	CacheEntries int
 	// Registry receives the serving metrics; nil means obs.Default().
 	Registry *obs.Registry
@@ -62,15 +64,12 @@ type Server struct {
 	met   *serviceMetrics
 	mux   *http.ServeMux
 	cache *lruCache
-	// flight coalesces identical in-flight cacheable evaluations.
-	flight *flightGroup
 
 	inflightN atomic.Int64
 	// streamMu guards the registry of explore and simulate runs — NDJSON
-	// streams and cacheable runs alike — so handler-only shutdown (no net
-	// listener, e.g. under httptest) can drain live runs and refuse new
-	// ones. streamsIdle is non-nil while a drain waits and is closed when
-	// streamN reaches zero.
+	// streams and cacheable runs alike — so Shutdown can refuse new runs
+	// and wait for live ones, with or without a listener. streamsIdle is
+	// non-nil while a drain waits and is closed when streamN reaches zero.
 	streamMu    sync.Mutex
 	streamN     int
 	draining    bool
@@ -99,12 +98,8 @@ func New(cfg Config) *Server {
 	if cfg.maxInflight == 0 {
 		cfg.maxInflight = DefaultMaxInflight
 	}
-	s := &Server{
-		cfg:    cfg,
-		met:    newServiceMetrics(cfg.Registry),
-		cache:  newLRUCache(cfg.CacheEntries),
-		flight: newFlightGroup(),
-	}
+	s := &Server{cfg: cfg, met: newServiceMetrics(cfg.Registry)}
+	s.cache = newLRUCache(cfg.CacheEntries, s.met)
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
 
 	// Warm the per-fabric window indexes for the whole catalog up front: the
@@ -165,21 +160,24 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // in-flight requests — including NDJSON explore and simulate streams — to
 // finish. If ctx expires first, remaining runs are cancelled (explorations
 // observe their context within a few hundred tree nodes, simulations within
-// ~1k events) and the server is closed hard; the context's error is returned.
+// ~1k events), the server is closed hard, and Shutdown returns the context's
+// error once every cancelled run has ended.
 func (s *Server) Shutdown(ctx context.Context) error {
 	defer func() { _ = s.cfg.AccessLog.Flush() }()
+	var err error
 	if s.http != nil {
-		err := s.http.Shutdown(ctx)
-		if err != nil {
+		if err = s.http.Shutdown(ctx); err != nil {
 			s.drainCancel()
 			_ = s.http.Close()
 		}
 		<-s.done
-		s.drainCancel()
-		return err
 	}
-	// Handler-only mode: no listener to close, but streams still drain.
-	err := s.drainStreams(ctx)
+	// Close does not wait for handlers, and a handler-only server has no
+	// listener: either way, the runs still registered are awaited here, so
+	// every run Shutdown cut has ended when it returns.
+	if derr := s.drainStreams(ctx); err == nil {
+		err = derr
+	}
 	s.drainCancel()
 	return err
 }

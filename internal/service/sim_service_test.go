@@ -456,7 +456,6 @@ func TestCoExploreFrontCoalesced(t *testing.T) {
 		}(i)
 	}
 	waitCounter(t, s.met.cacheMisses, k)
-	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
 	if n := evals.Load(); n != 1 {
@@ -562,16 +561,13 @@ func TestCoExploreCacheOffSameReplies(t *testing.T) {
 
 // cachedFronts returns the co-exploration fronts the cache holds.
 func cachedFronts(c *lruCache) []*coexFront {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var out []*coexFront
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			if fv, ok := el.Value.(*lruEntry).val.(*coexFront); ok {
-				out = append(out, fv)
-			}
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if fv, ok := el.Value.(*lruEntry).val.(*coexFront); ok {
+			out = append(out, fv)
 		}
-		sh.mu.Unlock()
 	}
 	return out
 }
